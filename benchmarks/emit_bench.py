@@ -221,8 +221,7 @@ def check_fleet_gate(fleet: dict) -> int:
     Unlike the timing gates, the fleet digest is a pure function of the
     topology — identical on every machine — so this gate re-runs the
     committed configuration serially and fails on *any* drift in the
-    simulator, the columnar stores, the worker-side reducer, or the
-    merge.
+    simulator, the worker-side reducer, or the merge.
     """
     if not fleet:
         print("fleet gate skipped: committed record has no fleet row")

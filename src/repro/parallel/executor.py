@@ -35,7 +35,9 @@ serial loop was used):
   sweep, pickling failures, and pool startup failures (sandboxes
   without working semaphores, missing ``fork``/``spawn`` support) all
   fall back to in-process execution; a broken pool mid-sweep reruns the
-  missing scenarios serially.
+  missing scenarios serially. An exception raised by scenario or
+  reducer code is not a fallback: it reaches the caller once, exactly
+  as from the serial loop, and the pool stays warm.
 * **Progress callbacks** — an optional callback observes completions
   (in completion order, the one place ordering is nondeterministic) so
   CLIs can narrate long sweeps.
@@ -92,6 +94,24 @@ _Task = Tuple[int, BenchmarkScenario, Optional[str]]
 #: the pool initializer before any task runs.
 _WORKER_DOCS: Dict[str, Any] = {}
 
+#: Everything pickle raises for a payload that cannot cross a process
+#: boundary.
+_PICKLE_ERRORS = (pickle.PickleError, TypeError, AttributeError,
+                  NotImplementedError, ValueError, EOFError, RecursionError)
+
+
+class _TaskError(Exception):
+    """Scenario or reducer code raised inside a worker.
+
+    The wrapper tells the parent that the error belongs to the caller,
+    not to the process boundary: an ``AttributeError`` from a reducer
+    bug must not look like a payload that failed to pickle.
+    """
+
+    def __init__(self, error: Exception) -> None:
+        super().__init__(error)
+        self.error = error
+
 
 def _init_worker(doc_blobs: Dict[str, bytes]) -> None:
     """Pool initializer: unpickle each distinct document exactly once."""
@@ -114,9 +134,12 @@ def _execute_chunk(tasks: List[_Task],
         if doc_key is not None:
             scenario = replace(scenario,
                                model_document=_WORKER_DOCS[doc_key])
-        result = run_scenario(scenario)
-        out.append((index,
-                    reducer(result) if reducer is not None else result))
+        try:
+            result = run_scenario(scenario)
+            out.append((index,
+                        reducer(result) if reducer is not None else result))
+        except Exception as exc:
+            raise _TaskError(exc) from exc
     return out
 
 
@@ -227,10 +250,8 @@ class SweepExecutor:
                 pickle.loads(pickle.dumps(stripped,
                                           protocol=pickle.HIGHEST_PROTOCOL))
                 tasks.append((index, stripped, key))
-        except (pickle.PickleError, TypeError, AttributeError,
-                NotImplementedError, ValueError, EOFError, RecursionError):
-            # Everything pickle raises for an unserializable payload;
-            # a probe failure means "use the serial path", never "crash".
+        except _PICKLE_ERRORS:
+            # A probe failure means "use the serial path", never "crash".
             return None
         return tasks, doc_blobs
 
@@ -241,8 +262,7 @@ class SweepExecutor:
         try:
             pickle.loads(pickle.dumps(self.reducer,
                                       protocol=pickle.HIGHEST_PROTOCOL))
-        except (pickle.PickleError, TypeError, AttributeError,
-                NotImplementedError, ValueError, EOFError, RecursionError):
+        except _PICKLE_ERRORS:
             return False
         return True
 
@@ -261,8 +281,7 @@ class SweepExecutor:
         try:
             return pickle.loads(pickle.dumps(
                 result, protocol=pickle.HIGHEST_PROTOCOL))
-        except (pickle.PickleError, TypeError, AttributeError,
-                NotImplementedError, ValueError, EOFError, RecursionError):
+        except _PICKLE_ERRORS:
             return result
 
     def _report(self, completed: int, total: int, name: str,
@@ -329,20 +348,25 @@ class SweepExecutor:
         n_chunks = min(total, workers * self.CHUNKS_PER_WORKER)
         chunks = [tasks[start::n_chunks] for start in range(n_chunks)]
         try:
-            futures = {pool.submit(_execute_chunk, chunk, self.reducer):
-                       chunk for chunk in chunks}
-            pending = set(futures)
+            pending = {pool.submit(_execute_chunk, chunk, self.reducer)
+                       for chunk in chunks}
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    # Scenario errors propagate exactly as serially.
                     for index, result in future.result():
                         results[index] = result
                         self._report(len(results), total,
                                      scenarios[index].name, parallel=True)
-        except (pickle.PicklingError, AttributeError, EOFError,
-                BrokenProcessPool):
-            # Pool died or a payload failed to cross the boundary:
+        except _TaskError as failed:
+            # Scenario or reducer code raised: propagate it once, as
+            # serially. The pool is healthy, so it stays warm; only the
+            # chunks that have not started yet are dropped.
+            for future in pending:
+                future.cancel()
+            self.last_mode = "parallel"
+            raise failed.error from failed.__cause__
+        except _PICKLE_ERRORS + (BrokenProcessPool,):
+            # Pool died or a result failed to cross the boundary:
             # whatever already finished is keyed by index; rerun the
             # rest in-process. The pool is no longer trustworthy.
             self.shutdown()

@@ -28,7 +28,6 @@ from repro.fabric.cluster import ServiceFabricCluster
 from repro.fabric.failover import FailoverRecord
 from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB
 from repro.sqldb.database import DatabaseInstance
-from repro.sqldb.dbcolumns import DatabaseStateColumns, columnar_enabled
 from repro.sqldb.editions import COLD_BUFFER_POOL_GB, Edition
 from repro.sqldb.rgmanager import clear_persisted_loads
 from repro.sqldb.slo import ServiceLevelObjective, get_slo
@@ -57,10 +56,6 @@ class ControlPlane:
         # multi-day run, while the active set is bounded by cluster
         # capacity — per-event queries must scan this one (TL022).
         self._active: Dict[str, DatabaseInstance] = {}
-        #: Shared struct-of-arrays lifecycle state for every database
-        #: this control plane creates (``None`` = object-graph path).
-        self._columns: Optional[DatabaseStateColumns] = (
-            DatabaseStateColumns() if columnar_enabled() else None)
         self._db_ids = itertools.count(1)
         self.redirects: List[CreationRedirect] = []
         self.creates_succeeded = 0
@@ -159,7 +154,6 @@ class ControlPlane:
             initial_growth_total_gb=initial_growth_total_gb,
             rapid_growth=rapid_growth,
             from_bootstrap=from_bootstrap,
-            state=self._columns,
         )
         initial_loads = {
             DISK_GB: database.initial_local_disk_gb(),

@@ -4,37 +4,19 @@ A :class:`DatabaseInstance` is the control-plane view of one customer
 database: its SLO, creation/drop timestamps, accumulated downtime (for
 the SLA penalty in §5.1), and the behaviour flags Toto's disk models
 key on (high initial growth, predictable rapid growth).
-
-Since the fleet-scale refactor (ROADMAP item 1) the numeric/flag
-lifecycle state no longer lives in per-instance attributes: each
-instance is a thin handle onto one row of a
-:class:`~repro.sqldb.dbcolumns.DatabaseStateColumns` struct-of-arrays
-store shared by its control plane. Standalone instances (tests,
-unpickles) get a private :class:`~repro.sqldb.dbcolumns.ObjectDatabaseState`
-backing with identical semantics. The public attribute surface —
-``created_at``, ``dropped_at``, ``downtime_seconds`` etc., all
-readable and writable — is unchanged from the old dataclass.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import SqlDbError
-from repro.sqldb.dbcolumns import DatabaseStateColumns, ObjectDatabaseState
 from repro.sqldb.editions import Edition, GP_TEMPDB_BASELINE_GB
 from repro.sqldb.slo import ServiceLevelObjective
 
-#: Lifecycle fields in the (former dataclass) field order — the order
-#: used by ``__repr__``, ``__eq__`` and the pickle payload, so pickles
-#: and reprs are byte-identical to the pre-columnar implementation.
-_STATE_FIELDS: Tuple[str, ...] = (
-    "created_at", "initial_data_gb", "dropped_at", "downtime_seconds",
-    "high_initial_growth", "initial_growth_total_gb", "rapid_growth",
-    "from_bootstrap", "failover_count",
-)
 
-
+@dataclass
 class DatabaseInstance:
     """One customer database hosted (or once hosted) in the ring.
 
@@ -56,166 +38,25 @@ class DatabaseInstance:
             officially starts (growth frozen during bootstrap, §5.2).
     """
 
-    __slots__ = ("db_id", "slo", "dropped_replica_ids", "_state", "_row")
+    db_id: str
+    slo: ServiceLevelObjective
+    created_at: int
+    initial_data_gb: float
+    dropped_at: Optional[int] = None
+    downtime_seconds: float = 0.0
+    high_initial_growth: bool = False
+    initial_growth_total_gb: float = 0.0
+    rapid_growth: bool = False
+    from_bootstrap: bool = False
+    failover_count: int = 0
+    #: Replica ids released at drop time (lets per-node caches clean up).
+    dropped_replica_ids: list = field(default_factory=list)
 
-    def __init__(self, db_id: str, slo: ServiceLevelObjective,
-                 created_at: int, initial_data_gb: float,
-                 dropped_at: Optional[int] = None,
-                 downtime_seconds: float = 0.0,
-                 high_initial_growth: bool = False,
-                 initial_growth_total_gb: float = 0.0,
-                 rapid_growth: bool = False,
-                 from_bootstrap: bool = False,
-                 failover_count: int = 0,
-                 dropped_replica_ids: Optional[List[int]] = None,
-                 state: Optional[DatabaseStateColumns] = None) -> None:
-        if initial_data_gb < 0:
+    def __post_init__(self) -> None:
+        if self.initial_data_gb < 0:
             raise SqlDbError(
-                f"{db_id}: negative initial data size "
-                f"{initial_data_gb}")
-        self.db_id = db_id
-        self.slo = slo
-        #: Replica ids released at drop time (per-node cache cleanup).
-        self.dropped_replica_ids: List[int] = (
-            [] if dropped_replica_ids is None else dropped_replica_ids)
-        backing: Union[DatabaseStateColumns, ObjectDatabaseState]
-        backing = ObjectDatabaseState() if state is None else state
-        self._state = backing
-        self._row = backing.allocate()
-        backing.init_row(
-            self._row, created_at, initial_data_gb, dropped_at,
-            downtime_seconds, failover_count, high_initial_growth,
-            initial_growth_total_gb, rapid_growth, from_bootstrap)
-
-    # -- lifecycle state, delegated to the columnar/object backing -----
-
-    @property
-    def created_at(self) -> int:
-        return self._state.created_at(self._row)
-
-    @created_at.setter
-    def created_at(self, value: int) -> None:
-        self._state.set_created_at(self._row, value)
-
-    @property
-    def dropped_at(self) -> Optional[int]:
-        return self._state.dropped_at(self._row)
-
-    @dropped_at.setter
-    def dropped_at(self, value: Optional[int]) -> None:
-        self._state.set_dropped_at(self._row, value)
-
-    @property
-    def downtime_seconds(self) -> float:
-        return self._state.downtime_seconds(self._row)
-
-    @downtime_seconds.setter
-    def downtime_seconds(self, value: float) -> None:
-        self._state.set_downtime_seconds(self._row, value)
-
-    @property
-    def failover_count(self) -> int:
-        return self._state.failover_count(self._row)
-
-    @failover_count.setter
-    def failover_count(self, value: int) -> None:
-        self._state.set_failover_count(self._row, value)
-
-    @property
-    def initial_data_gb(self) -> float:
-        return self._state.initial_data_gb(self._row)
-
-    @initial_data_gb.setter
-    def initial_data_gb(self, value: float) -> None:
-        self._state.set_initial_data_gb(self._row, value)
-
-    @property
-    def initial_growth_total_gb(self) -> float:
-        return self._state.initial_growth_total_gb(self._row)
-
-    @initial_growth_total_gb.setter
-    def initial_growth_total_gb(self, value: float) -> None:
-        self._state.set_initial_growth_total_gb(self._row, value)
-
-    @property
-    def high_initial_growth(self) -> bool:
-        return self._state.high_initial_growth(self._row)
-
-    @high_initial_growth.setter
-    def high_initial_growth(self, value: bool) -> None:
-        self._state.set_high_initial_growth(self._row, value)
-
-    @property
-    def rapid_growth(self) -> bool:
-        return self._state.rapid_growth(self._row)
-
-    @rapid_growth.setter
-    def rapid_growth(self, value: bool) -> None:
-        self._state.set_rapid_growth(self._row, value)
-
-    @property
-    def from_bootstrap(self) -> bool:
-        return self._state.from_bootstrap(self._row)
-
-    @from_bootstrap.setter
-    def from_bootstrap(self, value: bool) -> None:
-        self._state.set_from_bootstrap(self._row, value)
-
-    # -- dataclass-compatible protocol ---------------------------------
-
-    def _field_tuple(self) -> Tuple[Any, ...]:
-        values = [self.db_id, self.slo]
-        for name in _STATE_FIELDS:
-            values.append(getattr(self, name))
-        values.append(self.dropped_replica_ids)
-        return tuple(values)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DatabaseInstance:
-            return NotImplemented
-        return self._field_tuple() == other._field_tuple()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        parts = [f"db_id={self.db_id!r}", f"slo={self.slo!r}"]
-        parts.append(f"created_at={self.created_at!r}")
-        parts.append(f"initial_data_gb={self.initial_data_gb!r}")
-        parts.append(f"dropped_at={self.dropped_at!r}")
-        parts.append(f"downtime_seconds={self.downtime_seconds!r}")
-        parts.append(f"high_initial_growth={self.high_initial_growth!r}")
-        parts.append(
-            f"initial_growth_total_gb={self.initial_growth_total_gb!r}")
-        parts.append(f"rapid_growth={self.rapid_growth!r}")
-        parts.append(f"from_bootstrap={self.from_bootstrap!r}")
-        parts.append(f"failover_count={self.failover_count!r}")
-        parts.append(f"dropped_replica_ids={self.dropped_replica_ids!r}")
-        return f"DatabaseInstance({', '.join(parts)})"
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Pure-Python scalars in fixed field order: columnar- and
-        # object-backed instances pickle to identical bytes.
-        state: Dict[str, Any] = {"db_id": self.db_id, "slo": self.slo}
-        for name in _STATE_FIELDS:
-            state[name] = getattr(self, name)
-        state["dropped_replica_ids"] = self.dropped_replica_ids
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.db_id = state["db_id"]
-        self.slo = state["slo"]
-        self.dropped_replica_ids = state["dropped_replica_ids"]
-        backing = ObjectDatabaseState()
-        self._state = backing
-        self._row = backing.allocate()
-        backing.init_row(
-            self._row, state["created_at"], state["initial_data_gb"],
-            state["dropped_at"], state["downtime_seconds"],
-            state["failover_count"], state["high_initial_growth"],
-            state["initial_growth_total_gb"], state["rapid_growth"],
-            state["from_bootstrap"])
-
-    # -- derived views (unchanged) -------------------------------------
+                f"{self.db_id}: negative initial data size "
+                f"{self.initial_data_gb}")
 
     @property
     def edition(self) -> Edition:
@@ -231,14 +72,12 @@ class DatabaseInstance:
 
     def lifetime_seconds(self, now: int) -> int:
         """Seconds the database has existed (up to drop time)."""
-        dropped_at = self.dropped_at
-        end = dropped_at if dropped_at is not None else now
-        created_at = self.created_at
-        if end < created_at:
+        end = self.dropped_at if self.dropped_at is not None else now
+        if end < self.created_at:
             raise SqlDbError(
                 f"{self.db_id}: lifetime query at {now} before creation "
-                f"{created_at}")
-        return end - created_at
+                f"{self.created_at}")
+        return end - self.created_at
 
     def downtime_fraction(self, now: int) -> float:
         """Downtime as a fraction of lifetime (0 for zero lifetime)."""

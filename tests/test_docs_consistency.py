@@ -261,9 +261,14 @@ class TestFleetDoc:
             assert f"`{name}`" in FLEET_DOC, \
                 f"docs/FLEET.md does not document metric {name}"
 
-    def test_columnar_escape_hatch_documented(self):
-        assert "TOTO_OBJECT_STATE" in FLEET_DOC
-        assert "TOTO_OBJECT_STATE" in README
+    def test_columnar_escape_hatch_not_documented(self):
+        """The columnar stores and their env switch are gone."""
+        docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+                *sorted((REPO / "docs").glob("*.md"))]
+        for path in docs:
+            text = path.read_text()
+            for name in ("colstore", "dbcolumns", "TOTO_OBJECT_STATE"):
+                assert name not in text, f"{path.name} still mentions {name}"
 
     def test_template_fields_documented(self):
         import dataclasses

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.analysis import FloatSan, merge_registry
 from repro.analysis.detsan import verify_run
 from repro.fleet import (
     ClusterTemplate,
@@ -146,3 +147,27 @@ class TestFleetDetSan:
         _, report = verify_run(scenario)
         assert report.ok, report.format()
         assert report.divergence is None
+
+
+@pytest.mark.fleet
+class TestFleetFloatSan:
+    def test_fleet_merge_is_floatsan_clean(self):
+        """Every registered merge-fn fires on spec-ordered operands.
+
+        A fleet merge is the one place all of them fire in a single
+        run; the audited run must also keep the plain run's digest.
+        """
+        topology = dataclasses.replace(small_topology(prefix="floatsan", clusters=6),
+                                       densities=(1.0, 1.2))
+        plain = run_fleet(topology, max_workers=1)
+        sanitizer = FloatSan(merge_registry())
+        sanitizer.install()
+        try:
+            audited = run_fleet(topology, max_workers=1)
+        finally:
+            sanitizer.uninstall()
+        report = sanitizer.report()
+        assert report.ok, report.format()
+        assert set(report.fired) >= {"merge_summaries", "merge_frames",
+                                     "adjusted_revenue_report"}, report.fired
+        assert audited.digest == plain.digest

@@ -286,6 +286,32 @@ class TestExportAndManifest:
         manifest = build_manifest(scenario, ObsExport(), git="rev")
         assert manifest["scenario"]["chaos_profile"] == "light"
 
+    def test_cli_export_parses_against_v1_schemas(self, tmp_path):
+        from repro.cli import main
+        assert main(["run", "--hours", "2", "--chaos", "moderate",
+                     "--trace", "--metrics", "--profile",
+                     "--obs-dir", str(tmp_path)]) == 0
+        trace = [json.loads(line) for line in
+                 (tmp_path / "trace.jsonl").read_text().splitlines()]
+        assert trace[0] == {"type": "meta", "schema": 1}
+        keys = {"span": {"type", "id", "parent", "label", "seq", "t_sched",
+                         "t_fire"},
+                "mark": {"type", "id", "parent", "label", "t"}}
+        for record in trace[1:]:
+            assert record["type"] in keys, record
+            assert set(record) == keys[record["type"]], record
+        assert any(record["type"] == "span" for record in trace)
+        for line in (tmp_path / "metrics.jsonl").read_text().splitlines():
+            sample = json.loads(line)
+            assert set(sample) == {"type", "hour", "time", "metrics"}
+            assert all(name.startswith("toto_")
+                       for name in sample["metrics"])
+        profile = json.loads((tmp_path / "profile.json").read_text())
+        assert profile["schema"] == 1 and profile["labels"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["artifacts"]) == {
+            "trace.jsonl", "metrics.jsonl", "metrics.prom", "profile.json"}
+
 
 class TestObsConfig:
     def test_enabled_flags(self):

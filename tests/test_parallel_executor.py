@@ -8,6 +8,7 @@ rows and KPIs to the serial loop, results must come back in spec order
 to the serial path instead of failing.
 """
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -36,6 +37,13 @@ SWEEP_DENSITIES = (1.0, 1.1, 1.2)
 def quick_scenario(density=1.0, seed=42):
     return paper_scenario(density=density, days=0.25, seed=seed,
                           maintenance=False)
+
+
+def _reducer_reading_missing_field(result):
+    """A reducer bug: reads an attribute results do not have."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("the reducer re-ran in the parent process")
+    return result.no_such_field
 
 
 class TestSerialParallelEquivalence:
@@ -123,6 +131,26 @@ class TestExecutorMechanics:
             quick_scenario(), model_document=TotoModelDocument())
         with pytest.raises(ScenarioError):
             run_scenarios([bad], max_workers=1)
+
+        # Pooled, a reducer bug is the caller's error, not pool death:
+        # it is raised once from the workers, never re-run here, and
+        # the warm pool survives for the next sweep.
+        scenarios = [quick_scenario(seed=seed).with_duration(1 * HOUR)
+                     for seed in (1, 2)]
+        executor = SweepExecutor(max_workers=2,
+                                 reducer=_reducer_reading_missing_field)
+        try:
+            with pytest.raises(AttributeError, match="no_such_field"):
+                executor.run(scenarios)
+            assert executor.last_mode == "parallel"
+            pool = executor._pool
+            assert pool is not None
+            executor.reducer = None
+            assert len(executor.run(scenarios)) == 2
+            assert executor.last_mode == "parallel"
+            assert executor._pool is pool
+        finally:
+            executor.shutdown()
 
 
 class TestParseCache:
