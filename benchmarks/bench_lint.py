@@ -64,24 +64,11 @@ def bench_lint(repeats: int = 3) -> dict:
     return _bench_rules(repeats)
 
 
-def bench_totoperf(repeats: int = 3) -> dict:
-    """The performance tier (TL020..TL024) alone, cold vs. cached.
-
-    The perf rules lean on the same program graph as the determinism
-    tier, so their cached runs should be near-free; this row keeps the
-    marginal cost of the tier visible in BENCH_perf.json.
-    """
-    from repro.analysis.perf_rules import PERF_TIER
-    from repro.analysis.rules import get_rules
-
-    return _bench_rules(repeats, rules=get_rules(PERF_TIER))
-
-
 def bench_totonum(repeats: int = 3) -> dict:
     """The numeric tier (TL030..TL034) alone, cold vs. cached.
 
     The numeric rules reuse the same cached extracts (merge registry,
-    canonical sinks, numeric intervals) as the other tiers; this row
+    canonical sinks, numeric intervals) as the other rules; this row
     keeps the tier's marginal cost visible in BENCH_perf.json.
     """
     from repro.analysis.numeric_rules import NUMERIC_TIER

@@ -55,11 +55,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks.bench_lint import (  # noqa: E402
-    bench_lint,
-    bench_totonum,
-    bench_totoperf,
-)
+from benchmarks.bench_lint import bench_lint, bench_totonum  # noqa: E402
 from benchmarks.bench_perf_kernel import pump_kernel  # noqa: E402
 from repro import __version__  # noqa: E402
 from repro.core.runner import run_scenario  # noqa: E402
@@ -109,7 +105,7 @@ def check_kernel_regression(measured: float, out_path: str) -> int:
 def run_checks(out_path: str, kernel_events: int) -> int:
     """The ``--check`` regression gates against the committed record.
 
-    Five gates, all reported before the combined verdict:
+    Six gates, all reported before the combined verdict:
 
     * **sweep** — the committed record itself must say the parallel
       sweep reproduced the serial results (``results_identical``);
@@ -388,11 +384,6 @@ def main(argv=None) -> int:
     print(f"  cold {lint['cold_seconds']}s, cached "
           f"{lint['cached_seconds']}s -> {lint['cache_speedup']}x")
 
-    print("perf tier (TL020..TL024), cold vs cached ...", flush=True)
-    totoperf = bench_totoperf(repeats=1 if args.quick else 3)
-    print(f"  cold {totoperf['cold_seconds']}s, cached "
-          f"{totoperf['cached_seconds']}s -> {totoperf['cache_speedup']}x")
-
     print("numeric tier (TL030..TL034), cold vs cached ...", flush=True)
     totonum = bench_totonum(repeats=1 if args.quick else 3)
     print(f"  cold {totonum['cold_seconds']}s, cached "
@@ -411,7 +402,6 @@ def main(argv=None) -> int:
         "sweep": sweep,
         "fleet": fleet,
         "lint": lint,
-        "totoperf": totoperf,
         "totonum": totonum,
     }
     pathlib.Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -8,28 +8,24 @@ that determinism contract from both sides:
 
 * **Statically** — an AST lint engine (:mod:`.engine`) walks every
   module under ``src/repro/`` and applies the repo-specific rules
-  registered in :mod:`.rules` (determinism TL001..TL014, performance
-  TL020..TL024 in :mod:`.perf_rules`, numeric determinism
-  TL030..TL034 in :mod:`.numeric_rules`).  A whole-program pass
-  (:mod:`.graph`) builds the import/call graph, infers the hot set
-  reachable from simkernel event handlers and chaos gates, derives
+  registered in :mod:`.rules` (determinism TL001..TL014, fleet-scale
+  rescans and pickle-boundary purity TL022/TL023 in
+  :mod:`.perf_rules`, numeric determinism TL030..TL034 in
+  :mod:`.numeric_rules`); every rule is a hard gate.  A whole-program
+  pass (:mod:`.graph`) builds the import/call graph, infers the hot
+  set reachable from simkernel event handlers and chaos gates, derives
   the RNG substream registry (:mod:`.registry`) behind the
   TL010..TL012 rules, and collects the ``# totolint: merge-fn`` /
   ``canonical-json`` registry behind the numeric tier.  Findings can
-  be ratcheted via :mod:`.baseline` and exported as SARIF
-  (:mod:`.sarif`).
+  be exported as SARIF (:mod:`.sarif`).
 * **At runtime** — the DetSan sanitizer (:mod:`.detsan`) replays a
   scenario twice, fingerprints every RNG draw and event scheduling,
   and cross-checks each observed stream acquisition against the static
-  registry (``repro run --detsan``).  The PerfSan sanitizer
-  (:mod:`.perfsan`) meters per-call allocation in the inferred hot set
-  with :mod:`tracemalloc` and fails when a statically allocation-free
-  function allocates — or when no inferred-hot function fires at all
-  (``repro run --perfsan``).  The FloatSan sanitizer (:mod:`.floatsan`)
-  wraps every registered merge-fn, audits operand spec order, replays
-  insensitive-declared merges under permutation, and fails on the
-  first bit divergence — or when the merge registry never fires
-  (``repro run --floatsan``).
+  registry (``repro run --detsan``).  The FloatSan sanitizer
+  (:mod:`.floatsan`) wraps every registered merge-fn, audits operand
+  spec order, replays insensitive-declared merges under permutation,
+  and fails on the first bit divergence — or when the merge registry
+  never fires (``repro run --floatsan``).
 
 Entry points:
 
@@ -41,12 +37,11 @@ Entry points:
 Exit codes (stable; CI and pre-commit hooks rely on them):
 
 * ``0`` — no violations,
-* ``1`` — one or more violations (or stale baseline entries),
+* ``1`` — one or more violations,
 * ``2`` — internal error (unreadable path, unparseable file, bad rule
-  selection, malformed baseline).
+  selection).
 """
 
-from repro.analysis.baseline import Baseline, BaselineResult
 from repro.analysis.engine import (
     LintReport,
     ModuleContext,
@@ -63,27 +58,18 @@ from repro.analysis.floatsan import (
     verify_float_run,
 )
 from repro.analysis.graph import DrawSite, ProgramGraph
-from repro.analysis.perfsan import (
-    AllocationMismatch,
-    PerfSanReport,
-    verify_perf_run,
-)
 from repro.analysis.registry import RegistryEntry, SubstreamRegistry
 from repro.analysis.report import format_json, format_text
 from repro.analysis.rules import Rule, all_rules, get_rules
 from repro.analysis.sarif import format_sarif
 
 __all__ = [
-    "AllocationMismatch",
-    "Baseline",
-    "BaselineResult",
     "DrawSite",
     "FloatSan",
     "FloatSanReport",
     "LintReport",
     "ModuleContext",
     "OrderViolation",
-    "PerfSanReport",
     "ReplayDivergence",
     "ProgramGraph",
     "RegistryEntry",
@@ -93,7 +79,6 @@ __all__ = [
     "all_rules",
     "merge_registry",
     "verify_float_run",
-    "verify_perf_run",
     "format_json",
     "format_sarif",
     "format_text",

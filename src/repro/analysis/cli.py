@@ -6,22 +6,20 @@ CI and pre-commit hooks.
 
 Exit codes are part of the contract and must stay stable:
 
-* ``0`` — lint ran and found nothing (beyond the baseline),
-* ``1`` — lint ran and found violations (or stale baseline entries),
+* ``0`` — lint ran and found nothing,
+* ``1`` — lint ran and found violations,
 * ``2`` — the tool itself failed (unknown rule, unreadable or
-  unparseable file, missing path, malformed baseline).
+  unparseable file, missing path).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
 import repro
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import LintEngineError, LintReport, lint_paths
 from repro.analysis.report import format_json, format_text
 from repro.analysis.rules import all_rules, get_rules
@@ -53,21 +51,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--rules", default=None, metavar="TL001,TL002",
         help="comma-separated rule subset (default: all rules)")
     parser.add_argument(
-        "--select", default=None, metavar="TL020,TL021",
-        help="comma-separated rule subset to run (alias of --rules; "
-             "CI uses it to split the determinism, perf, and numeric "
-             "tiers)")
-    parser.add_argument(
-        "--ignore", default=None, metavar="TL024",
-        help="comma-separated rules to drop from the selection")
-    parser.add_argument(
-        "--baseline", default=None, type=Path, metavar="FILE",
-        help="ratchet file of accepted findings; matching violations "
-             "are suppressed, stale entries fail the run")
-    parser.add_argument(
-        "--write-baseline", default=None, type=Path, metavar="FILE",
-        help="write the current findings as the new baseline and exit 0")
-    parser.add_argument(
         "--cache", default=None, type=Path, metavar="FILE",
         help="content-hash extract cache for the whole-program pass "
              "(speeds up repeat runs; safe to delete)")
@@ -80,31 +63,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalogue and exit 0")
 
 
-def _resolve_rules(rules: Optional[str], select: Optional[str],
-                   ignore: Optional[str]):
-    """``(--select or --rules or all) minus --ignore``, validated.
-
-    Unknown codes in any of the three raise :class:`LintEngineError`
-    (exit 2) rather than silently linting with a different rule set.
-    """
-    codes = select if select is not None else rules
-    selected = get_rules(codes.split(",")) if codes else None
-    if not ignore:
-        return selected
-    dropped = {rule.code for rule in get_rules(ignore.split(","))}
-    pool = selected if selected is not None else all_rules()
-    return tuple(rule for rule in pool if rule.code not in dropped)
-
-
 def run_lint(paths: Sequence[Path], output_format: str = "text",
              rules: Optional[str] = None, list_rules: bool = False,
-             sarif: bool = False,
-             baseline: Optional[Path] = None,
-             write_baseline: Optional[Path] = None,
-             cache: Optional[Path] = None,
+             sarif: bool = False, cache: Optional[Path] = None,
              no_program: bool = False,
-             select: Optional[str] = None,
-             ignore: Optional[str] = None,
              stdout: Optional[TextIO] = None,
              stderr: Optional[TextIO] = None) -> int:
     """Execute one lint run; returns the stable exit code."""
@@ -119,24 +81,13 @@ def run_lint(paths: Sequence[Path], output_format: str = "text",
             print(f"{rule.code}  {rule.title}  [{kind}]", file=out)
         return EXIT_CLEAN
     try:
-        selected = _resolve_rules(rules, select, ignore)
+        # Unknown codes raise LintEngineError (exit 2) rather than
+        # silently linting with a different rule set.
+        selected = get_rules(rules.split(",")) if rules else None
         report = lint_paths(list(paths) or [default_target()],
                             rules=selected,
                             build_program=not no_program,
                             cache_path=cache)
-        if write_baseline is not None:
-            Baseline.from_violations(list(report.violations)) \
-                .write(str(write_baseline))
-            print(f"totolint: wrote {len(report.violations)} finding(s) "
-                  f"to baseline {write_baseline}", file=out)
-            return EXIT_CLEAN
-        if baseline is not None:
-            result = Baseline.load(str(baseline)).apply(
-                list(report.violations))
-            report = dataclasses.replace(
-                report, violations=tuple(result.new),
-                baselined=result.baselined,
-                stale_baseline=tuple(result.stale))
         formatted = _format(report, output_format)
     except LintEngineError as error:
         print(f"totolint: internal error: {error}", file=err)
@@ -147,12 +98,6 @@ def run_lint(paths: Sequence[Path], output_format: str = "text",
         print(f"totolint: internal error: {error!r}", file=err)
         return EXIT_INTERNAL_ERROR
     print(formatted, file=out)
-    if report.stale_baseline:
-        for entry in report.stale_baseline:
-            print(f"totolint: stale baseline entry: {entry}", file=err)
-        print("totolint: regenerate with --write-baseline to shrink the "
-              "ratchet", file=err)
-        return EXIT_VIOLATIONS
     return report.exit_code
 
 
@@ -169,16 +114,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="totolint",
         description="determinism & correctness linter for the Toto "
-                    "reproduction (determinism TL001..TL014, perf "
-                    "TL020..TL024, numeric TL030..TL034)")
+                    "reproduction (TL001..TL014, TL022, TL023, "
+                    "TL030..TL034; every rule is a hard gate)")
     add_lint_arguments(parser)
     args = parser.parse_args(argv)
     return run_lint(paths=args.paths, output_format=args.format,
                     rules=args.rules, list_rules=args.list_rules,
-                    sarif=args.sarif, baseline=args.baseline,
-                    write_baseline=args.write_baseline,
-                    cache=args.cache, no_program=args.no_program,
-                    select=args.select, ignore=args.ignore)
+                    sarif=args.sarif, cache=args.cache,
+                    no_program=args.no_program)
 
 
 if __name__ == "__main__":

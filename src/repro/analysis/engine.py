@@ -205,9 +205,6 @@ class LintReport:
     cache_misses: int = 0
     registry_size: int = 0
     hot_functions: int = 0
-    #: Baseline bookkeeping (filled in by the CLI's ratchet pass).
-    baselined: int = 0
-    stale_baseline: Tuple[str, ...] = ()
 
     @property
     def clean(self) -> bool:

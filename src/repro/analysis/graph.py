@@ -715,11 +715,6 @@ class ProgramGraph:
         """Sorted ``module:qualname`` labels of the inferred hot set."""
         return tuple(sorted(self._hot_names))
 
-    def hot_intervals(self) -> Dict[str, List[Tuple[int, int, str]]]:
-        """path -> sorted (start, end, qualname) hot-code intervals."""
-        return {path: list(intervals)
-                for path, intervals in self._hot.items()}
-
     def fleet_scale_names(self) -> Set[str]:
         """Every name annotated ``# totolint: fleet-scale``, program-wide."""
         return {name for extract in self.modules.values()

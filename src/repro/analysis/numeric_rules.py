@@ -20,7 +20,7 @@ that contract checkable:
   callers) via the PR-4 name-level over-approximation — the code that
   feeds values into merged KPIs and golden digests;
 * single-module runs fall back to the fleet/revenue/telemetry/parallel
-  package scopes, like the perf tier does.
+  package scopes.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ from typing import (
 
 from repro.analysis.engine import ModuleContext, Violation
 from repro.analysis.graph import ModuleExtract, extract_module
-from repro.analysis.perf_rules import _loop_body_nodes
 from repro.analysis.rules import Rule, _dotted, register
 
-#: Rule codes in this tier (the CLI's ``--select``/``--ignore`` docs
-#: and CI's tier split reference this set).
+#: Rule codes in this tier.
 NUMERIC_TIER = ("TL030", "TL031", "TL032", "TL033", "TL034")
 
 #: numpy reduction entry points whose summation order is pairwise (or
@@ -58,6 +56,32 @@ _KPI_AGGREGATES = frozenset({
 
 #: Format specs that render a float (``.3f``, ``e``, ``g``, ``%`` …).
 _FLOAT_SPEC = re.compile(r"[efg%]|\.\d")
+
+#: Statement types a loop-body walk never descends into: nested loops
+#: own their bodies (nearest-loop attribution), nested defs run on
+#: their own schedule, and Return/Raise exit the loop, so work under
+#: them is not per-iteration work.
+_LOOP_WALK_STOPS = (ast.For, ast.AsyncFor, ast.While,
+                    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                    ast.Return, ast.Raise)
+
+
+def _loop_body_nodes(loop: ast.AST) -> Iterator[ast.AST]:
+    """Every node executed per iteration of ``loop`` (see stops above).
+
+    Lambda bodies are not descended into: a lambda body runs when the
+    lambda is called, not when the loop spins.
+    """
+    stack: List[ast.AST] = list(loop.body) + list(loop.orelse)
+    if isinstance(loop, ast.While):
+        stack.append(loop.test)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _LOOP_WALK_STOPS):
+            continue
+        yield node
+        if not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def _module_extract(context: ModuleContext) -> ModuleExtract:

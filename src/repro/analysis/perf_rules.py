@@ -1,207 +1,27 @@
-"""The performance rule tier ("totoperf", TL020..TL024).
+"""Rules that keep the simulator scaling: TL022 and TL023.
 
-Where TL001..TL014 defend the determinism contract, this tier defends
-the *efficiency* contract: the kernel's throughput trajectory in
-BENCH_perf.json only ratchets upward if per-event code stays
-allocation-light, draws RNG in batches, and never rescans fleet-sized
-collections.  All five rules ride on the PR-4 whole-program machinery:
+Both ride on the whole-program machinery of :mod:`.graph`:
 
-* the **perf-hot scope** is the inferred hot set (functions reachable
-  from event handlers and chaos gates) *plus* everything under
-  ``repro.simkernel`` — the kernel run loop is per-event by
-  construction even though nothing schedules it as a callback;
-* **TL022** consumes ``# totolint: fleet-scale`` assignment
-  annotations collected by the graph extractor;
+* **TL022** flags full scans of collections annotated
+  ``# totolint: fleet-scale`` on the inferred hot set, where a rescan
+  turns per-event work into O(fleet) work;
 * **TL023** is program-wide: it walks the functions reachable from
   pool ``submit()`` sites (the :class:`~repro.parallel.SweepExecutor`
-  boundary) the same way hot-set inference walks callback roots.
-
-TL024 is advisory (SARIF level ``warning``): hoisting repeated
-attribute loads is a real win in the hottest loops but a style call
-everywhere else, so it is expected to live in the baseline ratchet
-rather than fail CI outright.
+  boundary) the same way hot-set inference walks callback roots, and
+  flags payloads that cannot pickle or worker code that mutates
+  module state.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Iterator, List, Optional, Set
 
 from repro.analysis.engine import ModuleContext, Violation
-from repro.analysis.rules import Rule, _dotted, register
+from repro.analysis.rules import HotPathRule, Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.registry import SubstreamRegistry
-
-#: Rule codes in this tier (the CLI's ``--select``/``--ignore`` docs
-#: and CI's tier split reference this set).
-PERF_TIER = ("TL020", "TL021", "TL022", "TL023", "TL024")
-
-#: Statement types a loop-body walk never descends into: nested loops
-#: own their bodies (nearest-loop attribution), nested defs run on
-#: their own schedule, and Return/Raise exit the loop, so work under
-#: them is not per-iteration work.
-_LOOP_WALK_STOPS = (ast.For, ast.AsyncFor, ast.While,
-                    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                    ast.Return, ast.Raise)
-
-_LOOPS = (ast.For, ast.AsyncFor, ast.While)
-
-
-def _loop_body_nodes(loop: ast.AST) -> Iterator[ast.AST]:
-    """Every node executed per iteration of ``loop`` (see stops above).
-
-    Lambda bodies are not descended into: a lambda *definition* is
-    per-iteration work (TL020 flags the node itself) but its body runs
-    when called, not when the loop spins.
-    """
-    stack: List[ast.AST] = list(loop.body) + list(loop.orelse)
-    if isinstance(loop, ast.While):
-        stack.append(loop.test)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _LOOP_WALK_STOPS):
-            continue
-        yield node
-        if not isinstance(node, ast.Lambda):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-class PerfHotRule(Rule):
-    """A rule scoped to the *perf-hot* part of the program.
-
-    With a program graph: the inferred hot set plus every module under
-    ``repro.simkernel`` (the run loop is per-event by construction but
-    is the caller of the hot roots, not one of them).  Single-module
-    runs fall back to the package scopes, where every node is in scope.
-    """
-
-    scopes = ("repro.simkernel", "repro.fabric", "repro.sqldb",
-              "repro.telemetry")
-
-    def applies_to(self, context: ModuleContext) -> bool:
-        if context.program is not None:
-            return True
-        return super().applies_to(context)
-
-    def in_scope(self, context: ModuleContext, node: ast.AST) -> bool:
-        if context.program is None:
-            return True
-        if context.in_package("repro.simkernel"):
-            return True
-        return context.program.is_hot(context.path,
-                                      getattr(node, "lineno", 1))
-
-    def hot_loops(self, context: ModuleContext) -> Iterator[ast.AST]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, _LOOPS) and self.in_scope(context, node):
-                yield node
-
-
-# ---------------------------------------------------------------------------
-# TL020 — per-event allocation in hot loops
-
-
-@register
-class NoPerEventAllocation(PerfHotRule):
-    code = "TL020"
-    title = "no per-iteration allocation in perf-hot loops"
-    rationale = (
-        "A loop on the event path runs millions of times per benchmark "
-        "day; every list/dict/set/tuple display, comprehension, lambda "
-        "construction, or f-string built inside it is a fresh heap "
-        "object per event — exactly the cost class the PR-1 __slots__ "
-        "pass and the PR-6 batch-fire loop removed. Hoist the "
-        "allocation out of the loop, reuse a preallocated buffer, or "
-        "format labels lazily (the kernel resolves `label()` callables "
-        "only when observability asks). Scope: loops inside the "
-        "inferred hot set plus repro.simkernel.")
-
-    def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for loop in self.hot_loops(context):
-            for node in _loop_body_nodes(loop):
-                reason = self._alloc_reason(node)
-                if reason is not None:
-                    yield self.violation(
-                        context, node,
-                        f"per-event allocation: {reason} inside a "
-                        "perf-hot loop; hoist it out of the loop or "
-                        "reuse a buffer")
-
-    def _alloc_reason(self, node: ast.AST) -> Optional[str]:
-        if isinstance(node, (ast.List, ast.Tuple)) \
-                and not isinstance(node.ctx, ast.Load):
-            return None  # unpacking target, not an allocation
-        if isinstance(node, (ast.List, ast.Set, ast.Tuple)):
-            if isinstance(node, ast.Tuple) and all(
-                    isinstance(elt, ast.Constant) for elt in node.elts):
-                return None  # constant tuples are folded at compile time
-            kind = {ast.List: "list", ast.Set: "set",
-                    ast.Tuple: "tuple"}[type(node)]
-            return f"{kind} display"
-        if isinstance(node, ast.Dict):
-            return "dict display"
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                             ast.GeneratorExp)):
-            return "comprehension"
-        if isinstance(node, ast.Lambda):
-            return "lambda construction"
-        if isinstance(node, ast.JoinedStr) and node.values:
-            if any(isinstance(value, ast.FormattedValue)
-                   for value in node.values):
-                return "f-string formatting"
-        return None
-
-
-# ---------------------------------------------------------------------------
-# TL021 — scalar RNG draws in hot loops
-
-
-@register
-class NoScalarDrawsInHotLoops(PerfHotRule):
-    code = "TL021"
-    title = "no scalar normal()/integers() draws in perf-hot loops"
-    rationale = (
-        "`Generator.normal()` / `Generator.integers()` called once per "
-        "iteration pays the full numpy dispatch cost per scalar; "
-        "`RngRegistry.batched(...)` (PR 6) draws the whole batch "
-        "through one vectorized call and serves it back value by "
-        "value with identical results. Any scalar draw in a perf-hot "
-        "loop that has a BatchedStream equivalent is throughput left "
-        "on the table. repro.rng itself is exempt: BatchedStream's "
-        "scalar-compatibility fallback lives there by design.")
-
-    _BATCHABLE = frozenset({"normal", "integers"})
-
-    def check(self, context: ModuleContext) -> Iterator[Violation]:
-        if context.in_package("repro.rng"):
-            return
-        for loop in self.hot_loops(context):
-            for node in _loop_body_nodes(loop):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in self._BATCHABLE):
-                    continue
-                if self._is_scalar(node):
-                    yield self.violation(
-                        context, node,
-                        f"scalar `.{node.func.attr}()` draw inside a "
-                        "perf-hot loop; draw the batch once via "
-                        "`RngRegistry.batched(...)` and consume it "
-                        "per event")
-
-    def _is_scalar(self, node: ast.Call) -> bool:
-        if any(keyword.arg == "size" for keyword in node.keywords):
-            return False
-        return len(node.args) <= 2  # a third positional arg is `size`
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +29,7 @@ class NoScalarDrawsInHotLoops(PerfHotRule):
 
 
 @register
-class NoFleetScaleRescans(PerfHotRule):
+class NoFleetScaleRescans(HotPathRule):
     code = "TL022"
     title = "no full scans of fleet-scale collections on per-event paths"
     rationale = (
@@ -220,6 +40,8 @@ class NoFleetScaleRescans(PerfHotRule):
         "fixed by hand in the telemetry failover rollup. Keep a "
         "cursor into the collection, maintain a running aggregate, or "
         "move the scan off the event path.")
+    scopes = ("repro.simkernel", "repro.fabric", "repro.sqldb",
+              "repro.telemetry")
 
     #: Wrappers whose iteration is still a full scan of the argument.
     _TRANSPARENT = frozenset({"enumerate", "sorted", "reversed",
@@ -322,70 +144,3 @@ class PickleBoundaryPurity(Rule):
                                 "state never propagates back to the "
                                 "parent; deliver it via the pool "
                                 "initializer or key it by content")
-
-
-# ---------------------------------------------------------------------------
-# TL024 — advisory: hoist repeated loads out of hot loops
-
-
-@register
-class HoistRepeatedLoads(PerfHotRule):
-    code = "TL024"
-    title = "hoist repeated attribute/global loads out of perf-hot loops"
-    rationale = (
-        "Every `self._queue._buckets` load inside a loop is a fresh "
-        "pair of dict lookups per iteration; binding it to a local "
-        "before the loop is the cheapest optimization the interpreter "
-        "offers (the batch-fire loop in the kernel does exactly this). "
-        "Advisory: the rule cannot prove the attribute is loop-"
-        "invariant, so findings ratchet through the baseline instead "
-        "of failing CI.")
-    level = "warning"
-
-    #: Loads of the same dotted chain at or above this count fire.
-    THRESHOLD = 3
-
-    def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for loop in self.hot_loops(context):
-            counts: Dict[str, int] = {}
-            stored: Set[str] = set()
-            for node, dotted in self._chains(loop):
-                if isinstance(node.ctx, ast.Load):
-                    counts[dotted] = counts.get(dotted, 0) + 1
-                else:
-                    stored.add(dotted)
-            for stmt in _loop_body_nodes(loop):
-                if isinstance(stmt, ast.Name) \
-                        and not isinstance(stmt.ctx, ast.Load):
-                    stored.add(stmt.id)
-            for dotted in sorted(counts):
-                if counts[dotted] < self.THRESHOLD:
-                    continue
-                root = dotted.split(".", 1)[0]
-                if dotted in stored or root in stored or any(
-                        dotted.startswith(prefix + ".")
-                        for prefix in stored):
-                    continue
-                yield self.violation(
-                    context, loop,
-                    f"`{dotted}` is loaded {counts[dotted]}x inside "
-                    "this perf-hot loop; bind it to a local before "
-                    "the loop (advisory)")
-
-    def _chains(self, loop: ast.AST) \
-            -> Iterator[Tuple[ast.Attribute, str]]:
-        """Maximal dotted attribute chains executed per iteration."""
-        stack: List[ast.AST] = list(loop.body) + list(loop.orelse)
-        if isinstance(loop, ast.While):
-            stack.append(loop.test)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _LOOP_WALK_STOPS) \
-                    or isinstance(node, ast.Lambda):
-                continue
-            if isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
-                if dotted is not None:
-                    yield node, dotted
-                    continue  # sub-chains of a maximal chain don't count
-            stack.extend(ast.iter_child_nodes(node))

@@ -32,9 +32,6 @@ def format_text(report: LintReport, verbose: bool = False) -> str:
                      f"{report.registry_size} registry substreams, "
                      f"cache hits {report.cache_hits} / "
                      f"misses {report.cache_misses}")
-    if report.baselined:
-        lines.append(f"totolint: {report.baselined} finding(s) absorbed "
-                     "by the baseline ratchet")
     if verbose and not report.clean:
         lines.append("suppress a finding with "
                      "`# totolint: disable=<RULE>` on the flagged line")
@@ -75,7 +72,6 @@ def format_json(report: LintReport) -> str:
             "cache_misses": report.cache_misses,
             "registry_size": report.registry_size,
             "hot_functions": report.hot_functions,
-            "baselined": report.baselined,
         },
     }
     return json.dumps(document, indent=2, sort_keys=False)

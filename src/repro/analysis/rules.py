@@ -52,9 +52,6 @@ class Rule:
     #: Program-wide rules run once per lint over the substream registry
     #: (:meth:`check_program`) instead of once per module.
     program_wide: bool = False
-    #: SARIF severity: ``"error"`` for contract rules, ``"warning"``
-    #: for advisory ones (TL024) that ratchet via the baseline.
-    level: str = "error"
 
     def applies_to(self, context: ModuleContext) -> bool:
         return not self.scopes or context.in_package(*self.scopes)
@@ -747,8 +744,8 @@ class ObservabilityIsPassive(Rule):
 
 
 # ---------------------------------------------------------------------------
-# TL020..TL024 — the performance tier ("totoperf") and TL030..TL034 —
-# the numeric-determinism tier ("totonum"), defined in their own
+# TL022/TL023 (fleet-scale rescans, the pickle boundary) and
+# TL030..TL034 (the numeric-determinism tier), defined in their own
 # modules.  Imported last: both subclass Rule/register above, which
 # are already bound by the time these imports execute.
 

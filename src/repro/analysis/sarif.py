@@ -5,7 +5,8 @@ franca code-scanning UIs ingest; emitting it lets CI upload lint
 findings as a first-class artifact next to the stable JSON report.
 Only the small, universally-supported subset of the schema is
 produced: one run, one rule descriptor per catalogue entry, one
-result per violation with a physical location.
+result per violation with a physical location.  Every rule is a hard
+gate, so every descriptor and result has level ``error``.
 """
 
 from __future__ import annotations
@@ -29,17 +30,16 @@ def format_sarif(report: LintReport) -> str:
             "name": type(rule).__name__,
             "shortDescription": {"text": rule.title},
             "fullDescription": {"text": rule.rationale},
-            "defaultConfiguration": {"level": rule.level},
+            "defaultConfiguration": {"level": "error"},
         }
         for rule in all_rules()
     ]
-    levels = {rule.code: rule.level for rule in all_rules()}
     rule_index = {rule["id"]: index for index, rule in enumerate(rules)}
     results: List[Dict[str, object]] = [
         {
             "ruleId": violation.rule,
             "ruleIndex": rule_index.get(violation.rule, -1),
-            "level": levels.get(violation.rule, "error"),
+            "level": "error",
             "message": {"text": violation.message},
             "locations": [{
                 "physicalLocation": {
@@ -71,7 +71,6 @@ def format_sarif(report: LintReport) -> str:
                 "filesChecked": report.files_checked,
                 "registrySize": report.registry_size,
                 "hotFunctions": report.hot_functions,
-                "baselined": report.baselined,
             },
         }],
     }

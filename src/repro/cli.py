@@ -139,11 +139,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         result, report = verify_run(scenario)
         print(report.format())
         detsan_exit = 0 if report.ok else 1
-    if args.perfsan:
-        from repro.analysis.perfsan import verify_perf_run
-        result, perf_report = verify_perf_run(scenario)
-        print(perf_report.format())
-        detsan_exit = detsan_exit or (0 if perf_report.ok else 1)
     if args.floatsan:
         from repro.analysis.floatsan import verify_float_run
         result, float_report = verify_float_run(scenario)
@@ -269,10 +264,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.cli import run_lint
     return run_lint(paths=args.paths, output_format=args.format,
                     rules=args.rules, list_rules=args.list_rules,
-                    sarif=args.sarif, baseline=args.baseline,
-                    write_baseline=args.write_baseline,
-                    cache=args.cache, no_program=args.no_program,
-                    select=args.select, ignore=args.ignore)
+                    sarif=args.sarif, cache=args.cache,
+                    no_program=args.no_program)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,12 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "twice, cross-check the RNG/event ledgers and "
                           "the static substream registry (exit 1 on any "
                           "divergence or unknown draw site)")
-    run.add_argument("--perfsan", action="store_true",
-                     help="run under the allocation sanitizer: meter "
-                          "per-call allocation in the inferred hot set "
-                          "with tracemalloc and cross-check the static "
-                          "TL020 allocation-free verdicts (exit 1 on "
-                          "any mismatch or a stale hot set)")
     run.add_argument("--floatsan", action="store_true",
                      help="run under the reduction-order sanitizer: "
                           "audit every registered merge-fn's operand "
@@ -393,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.analysis.cli import add_lint_arguments
     lint = sub.add_parser(
         "lint",
-        help="determinism, perf & numeric static analysis "
-             "(TL001..TL014, TL020..TL024, TL030..TL034)")
+        help="static analysis, every rule a hard gate "
+             "(TL001..TL014, TL022, TL023, TL030..TL034)")
     add_lint_arguments(lint)
     lint.set_defaults(func=cmd_lint)
 

@@ -271,7 +271,7 @@ class OrchestratorBackend:
         donors.sort(key=_free_disk_order)
         for host in hosts[:_SPILL_HOST_SCAN]:
             outgoing = sorted(
-                (r for r in host.replicas  # totolint: disable=TL020
+                (r for r in host.replicas
                  if r.load(DISK_GB) > 0.0),
                 key=_spill_outgoing_order)
             for r_out in outgoing[:_SPILL_REPLICA_SCAN]:
@@ -311,7 +311,7 @@ class OrchestratorBackend:
 
 
 # ----------------------------------------------------------------------
-# Sort keys (module-level so the spill scan builds no closures, TL020)
+# Sort keys (module-level so the spill scan builds no closures)
 # ----------------------------------------------------------------------
 
 def _free_cpu_order(node: Node) -> Tuple[float, int]:

@@ -212,12 +212,12 @@ class KubernetesBackend(OrchestratorBackend):
                 continue
             shortfall = needed_cpu - free(CPU_CORES)
             if shortfall > 0:
-                candidates.append((shortfall, node))  # totolint: disable=TL020
+                candidates.append((shortfall, node))
         candidates.sort(key=lambda pair: (pair[0], pair[1].node_id))
         for _, node in candidates:
             victims = sorted(
-                (r for r in node.replicas if r.cpu_cores > 0),  # totolint: disable=TL020
-                key=lambda r: self._eviction_order(r, cluster))  # totolint: disable=TL020
+                (r for r in node.replicas if r.cpu_cores > 0),
+                key=lambda r: self._eviction_order(r, cluster))
             for victim in victims:
                 target = self.choose_target(victim, node)
                 if target is None:

@@ -26,7 +26,7 @@ from repro.fabric.node import Node
 from repro.fabric.replica import Replica
 
 #: Metrics that cannot be freed by moving CPU reservations; hoisted so
-#: the make-room scan does not rebuild the tuple per node (TL020).
+#: the make-room scan does not rebuild the tuple per node.
 _UNSHEDDABLE_METRICS = (DISK_GB, MEMORY_GB)
 
 #: Hard cap on replica moves per violation sweep, so a cluster that is

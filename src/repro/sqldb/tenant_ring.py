@@ -30,7 +30,7 @@ def _report_order(replica: Replica) -> Tuple[bool, int]:
     """Report-sweep sort key: primary first, then replica id (§3.3.2).
 
     Module-level so the per-service sort does not rebuild a closure on
-    every sweep iteration (rule TL020).
+    every sweep iteration.
     """
     return (not replica.is_primary, replica.replica_id)
 

@@ -7,6 +7,8 @@ code path the full experiments use.
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.population_models import (
 )
 from repro.core.create_drop import CreateDropModel
 from repro.core.disk_models import DiskUsageModel
+from repro.analysis import LintReport, lint_paths
 from repro.core.selectors import ALL_PREMIUM_BC, ALL_STANDARD_GP
 from repro.fabric.metrics import NodeCapacities
 from repro.models.training import TrainingArtifacts, train_model_document
@@ -75,6 +78,14 @@ def tiny_artifacts() -> TrainingArtifacts:
 @pytest.fixture(scope="session")
 def tiny_document(tiny_artifacts) -> TotoModelDocument:
     return tiny_artifacts.document
+
+
+@pytest.fixture(scope="session")
+def repo_lint_report() -> LintReport:
+    """The full lint catalogue over ``src/repro``, run once per session;
+    the repo-state tests of the analysis suites all read this report."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    return lint_paths([src])
 
 
 def make_flat_disk_model(edition: Edition, mu: float = 0.0,

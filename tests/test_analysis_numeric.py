@@ -1,12 +1,12 @@
 """The numeric-determinism tier (TL030..TL034) and the FloatSan sanitizer.
 
 Per-rule fired/silent fixture pairs over fleet-package fixture paths,
-the ``--select``/``--ignore`` tier split, the repo-wide numeric-clean
-invariant, FloatSan's wrapper semantics (spec-order audit, permuted
-replay, stale-registry detection, mock.patch-style installation), a
-seeded pairwise merge caught by *both* the static rule and the runtime
-sanitizer, and a Hypothesis property pinning the permutation
-invariance the registered helpers promise.
+rule selection by code, the repo-wide numeric-clean invariant, the
+repo's merge registry, FloatSan's wrapper semantics (spec-order
+audit, permuted replay, stale-registry detection, mock.patch-style
+installation), a seeded pairwise merge caught by *both* the static
+rule and the runtime sanitizer, and a Hypothesis property pinning the
+permutation invariance the registered helpers promise.
 """
 
 import dataclasses
@@ -20,16 +20,10 @@ from hypothesis import strategies as st
 from repro.analysis import (
     FloatSan,
     get_rules,
-    lint_paths,
     lint_source,
     merge_registry,
 )
-from repro.analysis.cli import (
-    EXIT_CLEAN,
-    EXIT_INTERNAL_ERROR,
-    EXIT_VIOLATIONS,
-    run_lint,
-)
+from repro.analysis.cli import EXIT_INTERNAL_ERROR, run_lint
 from repro.analysis.floatsan import (
     MAX_REPLAYS,
     SPEC_KEYS,
@@ -51,7 +45,7 @@ SRC = REPO / "src" / "repro"
 
 #: Fixture path inside repro.fleet: the numeric rules' package fallback
 #: treats every node as on the merge/digest path when no program graph
-#: is built, mirroring how the perf tier uses repro.simkernel.
+#: is built.
 FLEET = "src/repro/fleet/example.py"
 
 #: Sequential left-fold over these is 0.0; reversed it is 1.0 — float
@@ -61,15 +55,6 @@ DIVERGENT = [1.0, 1e16, -1e16]
 
 def codes(report):
     return [violation.rule for violation in report.violations]
-
-
-def write_tree(tmp_path, files):
-    root = tmp_path / "repro"
-    for relative, source in files.items():
-        target = root / relative
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source)
-    return root
 
 
 def _summary(index, value, hours=2):
@@ -94,10 +79,11 @@ def _summary(index, value, hours=2):
 
 class TestNumericTierRegistration:
     def test_all_five_rules_registered_as_errors(self):
-        registered = {rule.code: rule for rule in all_rules()}
+        # Every rule is a hard gate (SARIF level "error", see
+        # test_analysis_program.py::TestSarif).
+        registered = {rule.code for rule in all_rules()}
         for code in NUMERIC_TIER:
             assert code in registered
-            assert registered[code].level == "error"
 
 
 class TestTL030:
@@ -315,51 +301,27 @@ class TestTL034:
 
 
 class TestSelectIgnore:
-    # A registered merge-fn keeps the fixture inside the inferred
-    # numeric scope when run_lint builds the program graph.
-    MERGE = ("# totolint: merge-fn\n"
-             "def merge_totals(parts):\n"
-             "    return sum(set(parts))\n")
-
-    def test_select_runs_only_the_numeric_tier(self, tmp_path):
-        root = write_tree(tmp_path, {"fleet/agg.py": self.MERGE})
-        out = StringIO()
-        exit_code = run_lint(paths=[root], select="TL030",
-                             stdout=out, stderr=StringIO())
-        assert exit_code == EXIT_VIOLATIONS
-        assert "TL030" in out.getvalue()
-
-    def test_ignore_subtracts_from_the_selection(self, tmp_path):
-        root = write_tree(tmp_path, {"fleet/agg.py": self.MERGE})
-        exit_code = run_lint(paths=[root], select="TL030,TL034",
-                             ignore="TL030",
-                             stdout=StringIO(), stderr=StringIO())
-        assert exit_code == EXIT_CLEAN
-
-    def test_ignore_composes_with_full_catalogue(self, tmp_path):
-        root = write_tree(tmp_path, {"fleet/agg.py": self.MERGE})
-        ignore = ",".join(NUMERIC_TIER)
-        exit_code = run_lint(paths=[root], ignore=ignore,
-                             stdout=StringIO(), stderr=StringIO())
-        assert exit_code == EXIT_CLEAN
+    """Rule selection by code (``--rules``)."""
 
     def test_unknown_code_is_an_internal_error(self, tmp_path):
-        root = write_tree(tmp_path, {"fleet/agg.py": self.MERGE})
+        # One unknown code fails the whole selection rather than
+        # linting with the known numeric remainder.
+        agg = tmp_path / "agg.py"
+        agg.write_text("def merge_totals(parts):\n    return sum(parts)\n")
         err = StringIO()
-        exit_code = run_lint(paths=[root], select="TL035",
+        exit_code = run_lint(paths=[agg], rules="TL030,TL035",
                              stdout=StringIO(), stderr=err)
         assert exit_code == EXIT_INTERNAL_ERROR
-        assert "unknown rule" in err.getvalue()
+        assert "unknown rule 'TL035'" in err.getvalue()
 
 
 class TestRepoNumericState:
-    def test_repo_numeric_tier_is_clean_with_no_baseline(self):
-        # Unlike the perf tier's launch, the numeric tier ships with
-        # zero accepted findings — the ratchet starts (and stays) empty.
-        report = lint_paths([SRC], rules=get_rules(NUMERIC_TIER))
-        assert codes(report) == [], [
-            f"{v.path}:{v.line} {v.rule} {v.message}"
-            for v in report.violations]
+    def test_repo_numeric_tier_is_clean_with_no_baseline(
+            self, repo_lint_report):
+        numeric = [v for v in repo_lint_report.violations
+                   if v.rule in NUMERIC_TIER]
+        assert numeric == [], [
+            f"{v.path}:{v.line} {v.rule} {v.message}" for v in numeric]
 
     def test_merge_registry_matches_the_annotated_helpers(self):
         registry = merge_registry([SRC])

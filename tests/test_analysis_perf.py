@@ -1,42 +1,17 @@
-"""The performance tier (TL020..TL024) and the PerfSan sanitizer.
+"""TL022 (fleet-scale rescans) and TL023 (pickle-boundary purity).
 
-Per-rule fired/silent fixture pairs, the program-wide TL023 pass over
-a pickle-boundary fixture tree, the ``--select``/``--ignore`` tier
-split, the repo-wide clean-modulo-baseline invariant, and the PerfSan
-cross-checker including a seeded static/runtime divergence.
+Per-rule fired/silent fixture pairs; TL023 runs its program-wide pass
+over small fixture trees written under ``tmp_path``. Also rule
+selection by code and the repo-wide clean invariant for both rules.
 """
 
-import ast
-import pathlib
 from io import StringIO
 
-from repro.analysis import (
-    Baseline,
-    get_rules,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.cli import (
-    EXIT_CLEAN,
-    EXIT_INTERNAL_ERROR,
-    EXIT_VIOLATIONS,
-    run_lint,
-)
-from repro.analysis.perf_rules import PERF_TIER
-from repro.analysis.perfsan import (
-    HotFunction,
-    PerfSanProfiler,
-    evaluate,
-    function_is_alloc_free,
-)
-from repro.analysis.rules import all_rules
+from repro.analysis import get_rules, lint_paths, lint_source
+from repro.analysis.cli import EXIT_INTERNAL_ERROR, run_lint
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
-SRC = REPO / "src" / "repro"
-BASELINE = REPO / "totolint-baseline.json"
-
-#: Fixture path inside repro.simkernel: per-event by construction, so
-#: the perf-hot rules treat every loop as hot without a program graph.
+#: Fixture path inside repro.simkernel, one of TL022's package scopes:
+#: without a program graph every node there is in scope.
 SIM = "src/repro/simkernel/example.py"
 
 
@@ -51,99 +26,6 @@ def write_tree(tmp_path, files):
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(source)
     return root
-
-
-class TestPerfTierRegistration:
-    def test_all_five_rules_registered_with_levels(self):
-        registered = {rule.code: rule for rule in all_rules()}
-        for code in PERF_TIER:
-            assert code in registered
-        assert registered["TL024"].level == "warning"
-        assert registered["TL020"].level == "error"
-
-
-class TestTL020:
-    def test_list_display_in_hot_loop_fires(self):
-        report = lint_source(
-            "def pump(events):\n"
-            "    for event in events:\n"
-            "        payload = [event.time, event.label]\n",
-            path=SIM, rules=get_rules(["TL020"]))
-        assert codes(report) == ["TL020"]
-        assert "list display" in report.violations[0].message
-
-    def test_set_display_fires_and_unpacking_target_is_silent(self):
-        # Set literals carry no ctx attribute; the rule must classify
-        # them as displays without touching it, while a tuple unpacking
-        # target (Store ctx) is not an allocation at all.
-        report = lint_source(
-            "def pump(pairs):\n"
-            "    for key, value in pairs:\n"
-            "        kinds = {key, value}\n",
-            path=SIM, rules=get_rules(["TL020"]))
-        assert codes(report) == ["TL020"]
-        assert "set display" in report.violations[0].message
-
-    def test_fstring_label_in_hot_loop_fires(self):
-        report = lint_source(
-            "def pump(events):\n"
-            "    for event in events:\n"
-            "        label = f'event-{event.seq}'\n",
-            path=SIM, rules=get_rules(["TL020"]))
-        assert codes(report) == ["TL020"]
-
-    def test_lambda_and_comprehension_fire(self):
-        report = lint_source(
-            "def pump(events):\n"
-            "    for event in events:\n"
-            "        thunk = lambda: event\n"
-            "        live = [e for e in event.children]\n",
-            path=SIM, rules=get_rules(["TL020"]))
-        assert sorted(codes(report)) == ["TL020", "TL020"]
-
-    def test_hoisted_buffer_and_constant_tuple_are_silent(self):
-        report = lint_source(
-            "KINDS = ('create', 'drop')\n"
-            "def pump(events):\n"
-            "    buffer = []\n"
-            "    for event in events:\n"
-            "        if event.kind in ('create', 'drop'):\n"
-            "            buffer.append(event)\n",
-            path=SIM, rules=get_rules(["TL020"]))
-        assert codes(report) == []
-
-    def test_allocation_after_return_or_in_nested_def_is_silent(self):
-        report = lint_source(
-            "def pump(events):\n"
-            "    for event in events:\n"
-            "        if event.last:\n"
-            "            return [event]\n"
-            "        def later():\n"
-            "            return [event]\n",
-            path=SIM, rules=get_rules(["TL020"]))
-        assert codes(report) == []
-
-
-class TestTL021:
-    def test_scalar_normal_in_hot_loop_fires(self):
-        report = lint_source(
-            "def jitter(events, stream):\n"
-            "    for event in events:\n"
-            "        event.delay = stream.normal(0.0, 1.0)\n",
-            path=SIM, rules=get_rules(["TL021"]))
-        assert codes(report) == ["TL021"]
-        assert "batched" in report.violations[0].message.lower()
-
-    def test_vectorized_draws_are_silent(self):
-        report = lint_source(
-            "def jitter(events, stream):\n"
-            "    delays = stream.normal(0.0, 1.0, size=len(events))\n"
-            "    for event, delay in zip(events, delays):\n"
-            "        event.delay = delay\n"
-            "    for event in events:\n"
-            "        more = stream.integers(0, 10, 64)\n",
-            path=SIM, rules=get_rules(["TL021"]))
-        assert codes(report) == []
 
 
 class TestTL022:
@@ -255,192 +137,27 @@ class TestTL023:
         assert codes(report) == []
 
 
-class TestTL024:
-    def test_three_identical_loads_fire_as_warning(self):
-        report = lint_source(
-            "def pump(self, events):\n"
-            "    for event in events:\n"
-            "        a = self.stats.count\n"
-            "        b = self.stats.count\n"
-            "        c = self.stats.count\n",
-            path=SIM, rules=get_rules(["TL024"]))
-        assert codes(report) == ["TL024"]
-        assert "self.stats.count" in report.violations[0].message
-        rule = next(r for r in all_rules() if r.code == "TL024")
-        assert rule.level == "warning"
-
-    def test_two_loads_or_rebound_chain_are_silent(self):
-        report = lint_source(
-            "def pump(self, events):\n"
-            "    for event in events:\n"
-            "        a = self.stats.count\n"
-            "        b = self.stats.count\n"
-            "    for event in events:\n"
-            "        x = self.stats.count\n"
-            "        self.stats = event\n"
-            "        y = self.stats.count\n"
-            "        z = self.stats.count\n",
-            path=SIM, rules=get_rules(["TL024"]))
-        assert codes(report) == []
-
-    def test_local_binding_before_loop_is_the_fix(self):
-        report = lint_source(
-            "def pump(self, events):\n"
-            "    count = self.stats.count\n"
-            "    for event in events:\n"
-            "        a = count\n"
-            "        b = count\n"
-            "        c = count\n",
-            path=SIM, rules=get_rules(["TL024"]))
-        assert codes(report) == []
-
-
 class TestSelectIgnore:
-    HOT = ("def pump(events: list) -> None:\n"
-           "    for event in events:\n"
-           "        payload = [event]\n")
-
-    def test_select_runs_only_the_perf_tier(self, tmp_path):
-        root = write_tree(tmp_path, {"simkernel/loop.py": self.HOT})
-        out = StringIO()
-        exit_code = run_lint(paths=[root], select="TL020",
-                             stdout=out, stderr=StringIO())
-        assert exit_code == EXIT_VIOLATIONS
-        assert "TL020" in out.getvalue()
-
-    def test_ignore_subtracts_from_the_selection(self, tmp_path):
-        root = write_tree(tmp_path, {"simkernel/loop.py": self.HOT})
-        exit_code = run_lint(paths=[root], select="TL020,TL024",
-                             ignore="TL020",
-                             stdout=StringIO(), stderr=StringIO())
-        assert exit_code == EXIT_CLEAN
-
-    def test_ignore_composes_with_full_catalogue(self, tmp_path):
-        root = write_tree(tmp_path, {"simkernel/loop.py": self.HOT})
-        ignore = ",".join(PERF_TIER)
-        exit_code = run_lint(paths=[root], ignore=ignore,
-                             stdout=StringIO(), stderr=StringIO())
-        assert exit_code == EXIT_CLEAN
+    """Rule selection by code (``--rules``)."""
 
     def test_unknown_code_is_an_internal_error(self, tmp_path):
-        root = write_tree(tmp_path, {"simkernel/loop.py": self.HOT})
+        root = write_tree(tmp_path, {
+            "simkernel/loop.py": "def pump(events):\n"
+                                 "    for event in events:\n"
+                                 "        event.fire()\n"})
         err = StringIO()
-        exit_code = run_lint(paths=[root], ignore="TL999",
+        exit_code = run_lint(paths=[root], rules="TL022,TL999",
                              stdout=StringIO(), stderr=err)
         assert exit_code == EXIT_INTERNAL_ERROR
-        assert "unknown rule" in err.getvalue()
+        assert "unknown rule 'TL999'" in err.getvalue()
 
 
 class TestRepoPerfState:
-    def test_repo_perf_tier_clean_modulo_committed_baseline(self):
-        report = lint_paths([SRC], rules=get_rules(PERF_TIER))
-        result = Baseline.load(str(BASELINE)).apply(
-            list(report.violations))
-        assert result.new == [], [
-            f"{v.path}:{v.line} {v.rule} {v.message}" for v in result.new]
-
-    def test_committed_baseline_has_no_stale_entries(self):
-        report = lint_paths([SRC])
-        result = Baseline.load(str(BASELINE)).apply(
-            list(report.violations))
-        assert result.stale == []
-
-
-def _parse_single_function(source):
-    tree = ast.parse(source)
-    return tree.body[0]
-
-
-class TestPerfSanStaticVerdicts:
-    def test_attribute_getter_is_alloc_free(self):
-        node = _parse_single_function(
-            "def running(self):\n"
-            "    return self._process.active and not self._stopped\n")
-        assert function_is_alloc_free(node)
-
-    def test_calls_displays_and_arithmetic_disqualify(self):
-        for body in ("    return list(x)\n",
-                     "    return [x]\n",
-                     "    return x + 1\n",
-                     "    return f'{x}'\n",
-                     "    for item in x:\n        pass\n"):
-            node = _parse_single_function(f"def f(x):\n{body}")
-            assert not function_is_alloc_free(node), body
-
-    def test_constant_tuple_is_alloc_free(self):
-        node = _parse_single_function(
-            "def kinds():\n"
-            "    return ('create', 'drop')\n")
-        assert function_is_alloc_free(node)
-
-
-def _probe_clean():
-    return None
-
-
-def _probe_allocating():
-    return [0] * 256
-
-
-class TestPerfSanRuntime:
-    def _run(self, function, fn, calls=8):
-        profiler = PerfSanProfiler([function])
-        profiler.install()
-        try:
-            profiler._classified[fn.__code__] = function
-            for _ in range(calls):
-                fn()
-        finally:
-            profiler.uninstall()
-        return profiler
-
-    def test_seeded_divergence_fails_loudly_with_details(self):
-        hot = HotFunction(path="<fixture>", qualname="_probe_allocating",
-                          start=1, end=2, alloc_free=True)
-        profiler = self._run(hot, _probe_allocating)
-        report = evaluate([hot], profiler)
-        assert not report.ok
-        assert len(report.mismatches) == 1
-        mismatch = report.mismatches[0]
-        assert mismatch.qualname == "_probe_allocating"
-        assert mismatch.measured >= 4
-        assert mismatch.allocating == mismatch.measured
-        assert mismatch.max_bytes > 0
-        formatted = report.format()
-        assert "ALLOCATION MISMATCH" in formatted
-        assert "_probe_allocating" in formatted
-
-    def test_clean_function_holds_its_verdict(self):
-        hot = HotFunction(path="<fixture>", qualname="_probe_clean",
-                          start=1, end=2, alloc_free=True)
-        profiler = self._run(hot, _probe_clean)
-        report = evaluate([hot], profiler)
-        assert report.ok, report.format()
-        assert report.fired_functions == 1
-        assert "OK" in report.format()
-
-    def test_stale_hot_set_is_a_failure(self):
-        hot = HotFunction(path="<fixture>", qualname="_probe_clean",
-                          start=1, end=2, alloc_free=True)
-        profiler = PerfSanProfiler([hot])
-        report = evaluate([hot], profiler)
-        assert report.stale_hot_set
-        assert not report.ok
-        assert "STALE HOT SET" in report.format()
-
-    def test_too_few_calls_never_fire_a_mismatch(self):
-        hot = HotFunction(path="<fixture>", qualname="_probe_allocating",
-                          start=1, end=2, alloc_free=True)
-        profiler = self._run(hot, _probe_allocating, calls=2)
-        report = evaluate([hot], profiler)
-        assert report.mismatches == []
-        assert not report.stale_hot_set
-
-
-class TestPerfSanCli:
-    def test_run_parser_accepts_perfsan(self):
-        from repro.cli import build_parser
-        args = build_parser().parse_args(["run", "--perfsan"])
-        assert args.perfsan is True
-        args = build_parser().parse_args(["run"])
-        assert args.perfsan is False
+    def test_repo_perf_tier_clean_modulo_committed_baseline(
+            self, repo_lint_report):
+        # No baseline is committed any more, so nothing is excused:
+        # TL022 and TL023 gate hard like every other rule.
+        perf = [v for v in repo_lint_report.violations
+                if v.rule in ("TL022", "TL023")]
+        assert perf == [], [
+            f"{v.path}:{v.line} {v.rule} {v.message}" for v in perf]

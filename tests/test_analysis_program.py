@@ -2,9 +2,9 @@
 
 Covers the PR's tentpole surface: the call-graph/hot-path inference
 (:mod:`repro.analysis.graph`), the RNG substream registry and its
-TL010..TL012 rules, the TL013 suppression audit, the baseline ratchet,
-SARIF output, the exit-2 regression for unreadable input, and the
-DetSan recorder including a forced first-mismatch divergence report.
+TL010..TL012 rules, the TL013 suppression audit, SARIF output, the
+exit-2 regression for unreadable input, and the DetSan recorder
+including a forced first-mismatch divergence report.
 Fixture trees are written under ``tmp_path`` with a ``repro/``
 directory component so :func:`module_name_for` anchors them like real
 package modules.
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    Baseline,
     ProgramGraph,
     SubstreamRegistry,
     format_sarif,
@@ -32,7 +31,6 @@ from repro.analysis import (
 from repro.analysis.cli import (
     EXIT_CLEAN,
     EXIT_INTERNAL_ERROR,
-    EXIT_VIOLATIONS,
     run_lint,
 )
 from repro.analysis.detsan import (
@@ -268,71 +266,6 @@ class TestTL013UnusedSuppression:
         assert "TL002" in report.violations[0].message
 
 
-class TestBaseline:
-    BAD = "def bad(x=[]):\n    return x\n"
-
-    def run(self, **kwargs):
-        out, err = StringIO(), StringIO()
-        code = run_lint(stdout=out, stderr=err, **kwargs)
-        return code, out.getvalue(), err.getvalue()
-
-    def test_write_then_apply_absorbs_findings(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        code, out, _ = self.run(paths=[bad], write_baseline=baseline)
-        assert code == EXIT_CLEAN
-        assert "wrote 1 finding(s)" in out
-        code, out, _ = self.run(paths=[bad], baseline=baseline)
-        assert code == EXIT_CLEAN
-        assert "1 finding(s) absorbed" in out
-
-    def test_new_finding_still_fails(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        self.run(paths=[bad], write_baseline=baseline)
-        bad.write_text(self.BAD + "import time\n"
-                       "def stamp():\n    return time.time()\n")
-        code, out, _ = self.run(paths=[bad], baseline=baseline)
-        assert code == EXIT_VIOLATIONS
-        assert "TL001" in out
-        assert "TL005" not in out  # still baselined
-
-    def test_stale_entry_fails_the_ratchet(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        self.run(paths=[bad], write_baseline=baseline)
-        bad.write_text("def fixed(x: int) -> int:\n    return x\n")
-        code, _, err = self.run(paths=[bad], baseline=baseline)
-        assert code == EXIT_VIOLATIONS
-        assert "stale baseline entry" in err
-
-    def test_malformed_baseline_is_internal_error(self, tmp_path):
-        good = tmp_path / "good.py"
-        good.write_text("x = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{not json")
-        code, _, err = self.run(paths=[good], baseline=baseline)
-        assert code == EXIT_INTERNAL_ERROR
-        assert "Traceback" not in err
-
-    def test_library_roundtrip_counts(self, tmp_path):
-        from repro.analysis.engine import Violation
-        violations = [
-            Violation(path="a.py", line=1, col=0, rule="TL001", message="m"),
-            Violation(path="a.py", line=9, col=0, rule="TL001", message="m"),
-        ]
-        path = tmp_path / "base.json"
-        Baseline.from_violations(violations).write(str(path))
-        loaded = Baseline.load(str(path))
-        assert len(loaded) == 2
-        result = loaded.apply(violations[:1])
-        assert result.baselined == 1 and result.new == []
-        assert len(result.stale) == 1 and "x1" in result.stale[0]
-
-
 class TestSarif:
     def test_document_shape_and_columns(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -361,17 +294,17 @@ class TestSarif:
         assert json.loads(out.getvalue())["version"] == "2.1.0"
 
     def test_minimal_schema_holds_across_all_three_tiers(self, tmp_path):
-        # One firing fixture per tier, so the results array exercises
-        # ruleIndex lookups into every region of the catalogue.
+        # One firing fixture per rule family (TL001..TL014, TL022/TL023,
+        # TL030..TL034), so the results array exercises ruleIndex
+        # lookups into every region of the catalogue.
         root = write_tree(tmp_path, {
             "simkernel/clock.py":
                 "import time\n"
                 "def stamp():\n"
                 "    return time.time()\n",
-            "simkernel/loop.py":
-                "def pump(events):\n"
-                "    for event in events:\n"
-                "        payload = [event.time]\n",
+            "experiments/sweep.py":
+                "def launch(pool, scenario):\n"
+                "    return pool.submit(lambda: scenario.run())\n",
             "fleet/agg.py":
                 "# totolint: merge-fn\n"
                 "def merge_totals(parts):\n"
@@ -386,23 +319,22 @@ class TestSarif:
         rules = run["tool"]["driver"]["rules"]
         rule_ids = [rule["id"] for rule in rules]
         assert len(rule_ids) == len(set(rule_ids))
-        # Every catalogue entry — all three tiers — carries the minimal
-        # descriptor code-scanning UIs require.
-        for tier_code in ("TL001", "TL014", "TL020", "TL024",
-                          "TL030", "TL034"):
-            assert tier_code in rule_ids
+        # Every catalogue entry carries the minimal descriptor
+        # code-scanning UIs require; every rule is a hard gate.
+        for family_code in ("TL001", "TL014", "TL022", "TL023",
+                            "TL030", "TL034"):
+            assert family_code in rule_ids
         for rule in rules:
             assert rule["name"]
             assert rule["shortDescription"]["text"]
             assert rule["fullDescription"]["text"]
-            assert rule["defaultConfiguration"]["level"] \
-                in ("error", "warning")
+            assert rule["defaultConfiguration"]["level"] == "error"
 
         results = run["results"]
         fired = {result["ruleId"] for result in results}
-        assert "TL001" in fired  # determinism tier
-        assert "TL020" in fired  # perf tier
-        assert "TL030" in fired  # numeric tier
+        assert "TL001" in fired  # determinism
+        assert "TL023" in fired  # pickle boundary
+        assert "TL030" in fired  # numeric determinism
         for result in results:
             index = result["ruleIndex"]
             assert rules[index]["id"] == result["ruleId"]
@@ -553,12 +485,13 @@ class TestRepoRegistry:
         assert "population-manager" in names
         assert "chaos/*" in names
 
-    def test_repo_lints_clean_modulo_committed_baseline(self):
-        report = lint_paths([SRC])
-        baseline = Baseline.load(str(REPO / "totolint-baseline.json"))
-        result = baseline.apply(list(report.violations))
-        assert result.new == [], [
-            f"{v.path}:{v.line} {v.rule}" for v in result.new]
-        assert result.stale == []
+    def test_repo_lints_clean(self, repo_lint_report):
+        # The full catalogue, every rule a hard gate, no baseline; the
+        # one whole-repo lint of the suite (shared via conftest).
+        report = repo_lint_report
+        assert report.violations == (), [
+            f"{v.path}:{v.line} {v.rule} {v.message}"
+            for v in report.violations]
+        assert report.files_checked > 80
         assert report.registry_size >= 10
         assert report.hot_functions > 50

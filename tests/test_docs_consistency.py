@@ -102,21 +102,19 @@ class TestStaticAnalysisDoc:
             assert f"### {rule.code} — " in self.DOC, \
                 f"docs/STATIC_ANALYSIS.md has no section for {rule.code}"
 
-    def test_detsan_and_ratchet_are_documented(self):
+    def test_detsan_and_lint_options_are_documented(self):
         assert "--detsan" in self.DOC
         assert "DetSan" in self.DOC
-        assert "--write-baseline" in self.DOC
-        assert "totolint-baseline.json" in self.DOC
         assert "substream=" in self.DOC
+        assert "fleet-scale" in self.DOC
         assert "--cache" in self.DOC
         assert "SARIF" in self.DOC
 
     def test_readme_mentions_the_runtime_half(self):
         assert "--detsan" in README
-        assert "--perfsan" in README
         assert "--floatsan" in README
         assert "TL001–TL014" in README
-        assert "TL020–TL024" in README
+        assert "TL022" in README and "TL023" in README
         assert "TL030–TL034" in README
 
     def test_documented_rule_ids_match_registered_ones(self):
@@ -126,24 +124,19 @@ class TestStaticAnalysisDoc:
         assert documented == registered, \
             "docs/STATIC_ANALYSIS.md sections out of sync with the registry"
 
-    def test_perf_tier_and_perfsan_are_documented(self):
-        assert "--perfsan" in self.DOC
-        assert "PerfSan" in self.DOC
-        assert "fleet-scale" in self.DOC
-        assert "--select" in self.DOC
-        assert "--ignore" in self.DOC
-
-    def test_committed_baseline_is_valid_and_stays_burned_down(self):
-        # The perf-tier burn-down finished (PR 9); the ratchet starts
-        # clean, so any future entry is a deliberate, reviewed parking
-        # decision — and determinism findings must never be parked.
-        import json
-        payload = json.loads(
-            (REPO / "totolint-baseline.json").read_text())
-        assert payload["version"] == 1
-        assert payload["entries"] == [], \
-            "the ratchet was burned down to zero; fix findings instead " \
-            "of re-growing the baseline"
+    def test_retired_lint_tools_not_documented(self):
+        """PerfSan, the baseline ratchet, the tier-split options and
+        rules TL020/TL021/TL024 are gone."""
+        docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+                *sorted((REPO / "docs").glob("*.md")),
+                REPO / "tools" / "totolint.py"]
+        retired = ("--perfsan", "PerfSan", "totolint-baseline.json",
+                   "--write-baseline", "--select", "--ignore",
+                   "TL020", "TL021", "TL024")
+        for path in docs:
+            text = path.read_text()
+            for name in retired:
+                assert name not in text, f"{path.name} still mentions {name}"
 
 
 class TestNumericDoc:

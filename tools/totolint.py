@@ -7,12 +7,12 @@ and delegates to :mod:`repro.analysis.cli`. Exit codes are stable —
 
 Usage::
 
-    python tools/totolint.py                       # lint src/repro (TL001..TL014)
+    python tools/totolint.py                       # lint src/repro, every rule
     python tools/totolint.py --format json         # CI artifact
     python tools/totolint.py --sarif               # SARIF 2.1.0
-    python tools/totolint.py --baseline totolint-baseline.json
     python tools/totolint.py --cache .totolint-cache.json    # incremental
     python tools/totolint.py --rules TL001,TL006 src/repro/simkernel
+    python tools/totolint.py --list-rules          # the catalogue
 """
 
 import pathlib
