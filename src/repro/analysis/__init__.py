@@ -16,16 +16,11 @@ that determinism contract from both sides:
   set reachable from simkernel event handlers and chaos gates, derives
   the RNG substream registry (:mod:`.registry`) behind the
   TL010..TL012 rules, and collects the ``# totolint: merge-fn`` /
-  ``canonical-json`` registry behind the numeric tier.  Findings can
-  be exported as SARIF (:mod:`.sarif`).
+  ``canonical-json`` registry behind the numeric tier.
 * **At runtime** — the DetSan sanitizer (:mod:`.detsan`) replays a
   scenario twice, fingerprints every RNG draw and event scheduling,
   and cross-checks each observed stream acquisition against the static
-  registry (``repro run --detsan``).  The FloatSan sanitizer
-  (:mod:`.floatsan`) wraps every registered merge-fn, audits operand
-  spec order, replays insensitive-declared merges under permutation,
-  and fails on the first bit divergence — or when the merge registry
-  never fires (``repro run --floatsan``).
+  registry (``repro run --detsan``).
 
 Entry points:
 
@@ -49,38 +44,22 @@ from repro.analysis.engine import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.floatsan import (
-    FloatSan,
-    FloatSanReport,
-    OrderViolation,
-    ReplayDivergence,
-    merge_registry,
-    verify_float_run,
-)
 from repro.analysis.graph import DrawSite, ProgramGraph
 from repro.analysis.registry import RegistryEntry, SubstreamRegistry
 from repro.analysis.report import format_json, format_text
 from repro.analysis.rules import Rule, all_rules, get_rules
-from repro.analysis.sarif import format_sarif
 
 __all__ = [
     "DrawSite",
-    "FloatSan",
-    "FloatSanReport",
     "LintReport",
     "ModuleContext",
-    "OrderViolation",
-    "ReplayDivergence",
     "ProgramGraph",
     "RegistryEntry",
     "Rule",
     "SubstreamRegistry",
     "Violation",
     "all_rules",
-    "merge_registry",
-    "verify_float_run",
     "format_json",
-    "format_sarif",
     "format_text",
     "get_rules",
     "lint_paths",

@@ -20,10 +20,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
 import repro
-from repro.analysis.engine import LintEngineError, LintReport, lint_paths
+from repro.analysis.engine import LintEngineError, lint_paths
 from repro.analysis.report import format_json, format_text
 from repro.analysis.rules import all_rules, get_rules
-from repro.analysis.sarif import format_sarif
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
@@ -41,23 +40,11 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths", nargs="*", type=Path,
         help="files or directories to lint (default: the repro package)")
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report style; json is the stable CI schema, sarif is "
-             "SARIF 2.1.0 for code-scanning upload")
-    parser.add_argument(
-        "--sarif", action="store_true",
-        help="shorthand for --format sarif")
+        "--format", choices=("text", "json"), default="text",
+        help="report style; json is the stable CI schema")
     parser.add_argument(
         "--rules", default=None, metavar="TL001,TL002",
         help="comma-separated rule subset (default: all rules)")
-    parser.add_argument(
-        "--cache", default=None, type=Path, metavar="FILE",
-        help="content-hash extract cache for the whole-program pass "
-             "(speeds up repeat runs; safe to delete)")
-    parser.add_argument(
-        "--no-program", action="store_true",
-        help="skip the whole-program pass (call graph, substream "
-             "registry, TL010..TL013)")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit 0")
@@ -65,15 +52,11 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_lint(paths: Sequence[Path], output_format: str = "text",
              rules: Optional[str] = None, list_rules: bool = False,
-             sarif: bool = False, cache: Optional[Path] = None,
-             no_program: bool = False,
              stdout: Optional[TextIO] = None,
              stderr: Optional[TextIO] = None) -> int:
     """Execute one lint run; returns the stable exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    if sarif:
-        output_format = "sarif"
     if list_rules:
         for rule in all_rules():
             scope = ", ".join(rule.scopes) if rule.scopes else "all modules"
@@ -85,10 +68,9 @@ def run_lint(paths: Sequence[Path], output_format: str = "text",
         # silently linting with a different rule set.
         selected = get_rules(rules.split(",")) if rules else None
         report = lint_paths(list(paths) or [default_target()],
-                            rules=selected,
-                            build_program=not no_program,
-                            cache_path=cache)
-        formatted = _format(report, output_format)
+                            rules=selected)
+        formatted = (format_json(report) if output_format == "json"
+                     else format_text(report))
     except LintEngineError as error:
         print(f"totolint: internal error: {error}", file=err)
         return EXIT_INTERNAL_ERROR
@@ -101,14 +83,6 @@ def run_lint(paths: Sequence[Path], output_format: str = "text",
     return report.exit_code
 
 
-def _format(report: LintReport, output_format: str) -> str:
-    if output_format == "json":
-        return format_json(report)
-    if output_format == "sarif":
-        return format_sarif(report)
-    return format_text(report)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Standalone entry point (``python tools/totolint.py``)."""
     parser = argparse.ArgumentParser(
@@ -119,9 +93,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_lint_arguments(parser)
     args = parser.parse_args(argv)
     return run_lint(paths=args.paths, output_format=args.format,
-                    rules=args.rules, list_rules=args.list_rules,
-                    sarif=args.sarif, cache=args.cache,
-                    no_program=args.no_program)
+                    rules=args.rules, list_rules=args.list_rules)
 
 
 if __name__ == "__main__":

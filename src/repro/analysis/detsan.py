@@ -231,8 +231,8 @@ class DetSanReport:
 
 
 def verify_run(scenario: Any,
-               registry_paths: Optional[Sequence[Path]] = None,
-               cache_path: Optional[Path] = None) -> Tuple[Any, DetSanReport]:
+               registry_paths: Optional[Sequence[Path]] = None
+               ) -> Tuple[Any, DetSanReport]:
     """Run ``scenario`` twice under DetSan and cross-check the ledgers.
 
     Returns ``(result, report)`` where ``result`` is the first run's
@@ -246,7 +246,7 @@ def verify_run(scenario: Any,
 
     if registry_paths is None:
         registry_paths = [Path(repro.rng.__file__).resolve().parent]
-    graph = ProgramGraph.build(registry_paths, cache_path=cache_path)
+    graph = ProgramGraph.build(registry_paths)
     registry = SubstreamRegistry(graph)
 
     first = DetSanRecorder()

@@ -7,7 +7,7 @@ so output is stable no matter the traversal order.  All repo-specific
 knowledge lives in :mod:`repro.analysis.rules`.
 
 Two whole-program passes ride on top of the per-module rules when a
-:class:`~repro.analysis.graph.ProgramGraph` is in play (the default for
+:class:`~repro.analysis.graph.ProgramGraph` is in play (always, for
 ``lint_paths``): program-wide rules (the RNG substream registry checks
 TL010..TL012) and the unused-suppression audit (TL013), which requires
 knowing every violation before deciding a suppression did nothing.
@@ -200,9 +200,9 @@ class LintReport:
 
     violations: Tuple[Violation, ...]
     files_checked: int
-    #: Whole-program statistics (zero when the graph pass was skipped).
-    cache_hits: int = 0
-    cache_misses: int = 0
+    #: Whether a program graph was built (``lint_paths``, never
+    #: ``lint_source``); the statistics below are zero without one.
+    program_built: bool = False
     registry_size: int = 0
     hot_functions: int = 0
 
@@ -272,18 +272,16 @@ def lint_source(source: str, path: str = "src/repro/example.py",
 
 
 def lint_paths(paths: Sequence[Path],
-               rules: Optional[Sequence["Rule"]] = None,
-               build_program: bool = True,
-               cache_path: Optional[Path] = None) -> LintReport:
+               rules: Optional[Sequence["Rule"]] = None) -> LintReport:
     """Lint every Python file under each path (file or directory).
 
-    With ``build_program`` (the default) a
-    :class:`~repro.analysis.graph.ProgramGraph` over the same file set
-    feeds the whole-program rules (TL010..TL012), scopes TL003/TL004 to
-    the inferred hot set, and enables the TL013 suppression audit.
-    ``cache_path`` points at the content-hash extract cache for
-    incremental re-runs.
+    A :class:`~repro.analysis.graph.ProgramGraph` over the same file
+    set feeds the whole-program rules (TL010..TL012), scopes
+    TL003/TL004 to the inferred hot set, and enables the TL013
+    suppression audit.
     """
+    from repro.analysis.graph import ProgramGraph
+
     active = _resolve(rules)
     per_module, program_rules = _split_rules(_checking_rules(active))
     contexts: List[ModuleContext] = []
@@ -296,22 +294,17 @@ def lint_paths(paths: Sequence[Path],
                 path=str(file_path), module=module_name_for(file_path),
                 source=read_source(file_path)))
 
-    program = None
-    cache_hits = cache_misses = registry_size = hot_count = 0
-    if build_program:
-        from repro.analysis.graph import ProgramGraph
-        program = ProgramGraph.build(paths, cache_path=cache_path)
-        cache_hits, cache_misses = program.cache_hits, program.cache_misses
-        hot_count = len(program.hot_functions())
-        for context in contexts:
-            if program.covers(context.path):
-                context.program = program
+    program = ProgramGraph.build(paths)
+    for context in contexts:
+        if program.covers(context.path):
+            context.program = program
 
     violations: List[Violation] = []
     for context in contexts:
         violations.extend(_check_module(context, per_module))
 
-    if program is not None and program_rules:
+    registry_size = 0
+    if program_rules:
         by_path = {context.path: context for context in contexts}
         from repro.analysis.registry import SubstreamRegistry
         registry = SubstreamRegistry(program)
@@ -332,9 +325,9 @@ def lint_paths(paths: Sequence[Path],
         violations=tuple(sorted(v for v in violations
                                 if v.rule in active_codes)),
         files_checked=len(contexts),
-        cache_hits=cache_hits, cache_misses=cache_misses,
+        program_built=True,
         registry_size=registry_size,
-        hot_functions=hot_count)
+        hot_functions=len(program.hot_functions()))
 
 
 def _resolve(rules: Optional[Sequence["Rule"]]) -> Sequence["Rule"]:

@@ -17,18 +17,11 @@ and answers the two whole-program questions the rules need:
   function is treated as hot whenever any same-named function is
   reachable, because missing a hot function silences a determinism rule
   while a false positive merely widens its coverage.
-
-Per-file extraction is cached by content hash (``--cache``): an
-unchanged file's extract is reused verbatim, so incremental re-runs of
-the whole-program passes skip the AST walk for everything but edited
-files.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,9 +33,6 @@ from repro.analysis.engine import (
     module_name_for,
     read_source,
 )
-
-#: Bump when the extract shape changes; stale caches are discarded.
-CACHE_VERSION = 4
 
 #: Methods that draw from (or derive seeds off) an RNG registry.
 #: ``batched`` is the vectorized façade — it acquires the same named
@@ -81,13 +71,11 @@ _SUBSTREAM_ANNOTATION = re.compile(
 #: records); TL022 flags full rescans of it on per-event paths.
 _FLEET_ANNOTATION = re.compile(r"#\s*totolint:\s*fleet-scale\b")
 
-#: ``# totolint: merge-fn[=insensitive]`` — registers the annotated
-#: function as a sequential merge helper.  Placed on (or directly
-#: above) the ``def`` line.  TL034 checks the body is a left-fold and
-#: FloatSan wraps the function at runtime; ``=insensitive`` declares
-#: the reduction order-insensitive (bit-identical under permutation),
-#: the default (``ordered``) declares it spec-order-sensitive.
-_MERGE_ANNOTATION = re.compile(r"#\s*totolint:\s*merge-fn(?:=(\w+))?")
+#: ``# totolint: merge-fn`` — registers the annotated function as a
+#: sequential merge helper over spec-ordered operands.  Placed on (or
+#: directly above) the ``def`` line.  TL034 checks the body is a
+#: left fold.
+_MERGE_ANNOTATION = re.compile(r"#\s*totolint:\s*merge-fn\b")
 
 #: ``# totolint: canonical-json`` — marks the annotated function as a
 #: canonical float-rendering sink (digest/JSON export); TL033 flags
@@ -189,67 +177,14 @@ class ModuleExtract:
     worker_inits: List[str] = field(default_factory=list)
     #: Lines where a lambda/closure is submitted to a pool directly.
     worker_lambdas: List[int] = field(default_factory=list)
-    #: ``(qualname, sensitivity)`` of ``# totolint: merge-fn`` functions.
-    merge_fns: List[Tuple[str, str]] = field(default_factory=list)
+    #: Qualnames annotated ``# totolint: merge-fn``.
+    merge_fns: List[str] = field(default_factory=list)
     #: Qualnames annotated ``# totolint: canonical-json``.
     canonical_fns: List[str] = field(default_factory=list)
     #: Qualnames of functions that accumulate (``+=``) inside a loop —
     #: the float-accumulation fact behind TL034's unannotated-merger
     #: check (over-approximate: integer accumulators count too).
     accumulators: List[str] = field(default_factory=list)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "functions": [
-                [f.qualname, f.name, f.start, f.end,
-                 list(f.calls), list(f.refs), list(f.callbacks),
-                 list(f.mutations)]
-                for f in self.functions],
-            "draws": [
-                [d.line, d.end_line, d.col, d.method, list(d.tokens),
-                 d.func, d.annotation]
-                for d in self.draws],
-            "root_seed_reads": list(self.root_seed_reads),
-            "fleet_scale": list(self.fleet_scale),
-            "module_mutables": list(self.module_mutables),
-            "worker_roots": list(self.worker_roots),
-            "worker_inits": list(self.worker_inits),
-            "worker_lambdas": list(self.worker_lambdas),
-            "merge_fns": [[qualname, sensitivity]
-                          for qualname, sensitivity in self.merge_fns],
-            "canonical_fns": list(self.canonical_fns),
-            "accumulators": list(self.accumulators),
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "ModuleExtract":
-        extract = cls(path=str(data["path"]), module=str(data["module"]))
-        for qualname, name, start, end, calls, refs, callbacks, \
-                mutations in data["functions"]:  # type: ignore[union-attr]
-            extract.functions.append(FunctionNode(
-                qualname=qualname, name=name, start=start, end=end,
-                calls=tuple(calls), refs=tuple(refs),
-                callbacks=tuple(callbacks), mutations=tuple(mutations)))
-        for line, end_line, col, method, tokens, func, annotation \
-                in data["draws"]:  # type: ignore[union-attr]
-            extract.draws.append(DrawSite(
-                path=extract.path, module=extract.module, line=line,
-                end_line=end_line, col=col, method=method,
-                tokens=tuple(tokens), func=func, annotation=annotation))
-        extract.root_seed_reads = list(data["root_seed_reads"])  # type: ignore[arg-type]
-        extract.fleet_scale = list(data["fleet_scale"])  # type: ignore[arg-type]
-        extract.module_mutables = list(data["module_mutables"])  # type: ignore[arg-type]
-        extract.worker_roots = list(data["worker_roots"])  # type: ignore[arg-type]
-        extract.worker_inits = list(data["worker_inits"])  # type: ignore[arg-type]
-        extract.worker_lambdas = list(data["worker_lambdas"])  # type: ignore[arg-type]
-        extract.merge_fns = [
-            (str(qualname), str(sensitivity))
-            for qualname, sensitivity in data["merge_fns"]]  # type: ignore[union-attr]
-        extract.canonical_fns = list(data["canonical_fns"])  # type: ignore[arg-type]
-        extract.accumulators = list(data["accumulators"])  # type: ignore[arg-type]
-        return extract
 
 
 def _terminal(node: ast.expr) -> Optional[str]:
@@ -390,11 +325,9 @@ class _ModuleVisitor(ast.NodeVisitor):
         qualname = self._scopes[-1].prefix
         for lineno in range(max(start - 1, 1), max(end, start) + 1):
             line = self.lines[lineno - 1]
-            match = _MERGE_ANNOTATION.search(line)
-            if match and all(q != qualname
-                             for q, _ in self.extract.merge_fns):
-                self.extract.merge_fns.append(
-                    (qualname, match.group(1) or "ordered"))
+            if _MERGE_ANNOTATION.search(line) \
+                    and qualname not in self.extract.merge_fns:
+                self.extract.merge_fns.append(qualname)
             if _CANONICAL_ANNOTATION.search(line) \
                     and qualname not in self.extract.canonical_fns:
                 self.extract.canonical_fns.append(qualname)
@@ -565,8 +498,6 @@ class ProgramGraph:
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleExtract] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: path -> sorted (start, end, qualname) intervals of hot code.
         self._hot: Dict[str, List[Tuple[int, int, str]]] = {}
         self._hot_names: Set[str] = set()
@@ -579,35 +510,18 @@ class ProgramGraph:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def build(cls, paths: Sequence[Path],
-              cache_path: Optional[Path] = None) -> "ProgramGraph":
+    def build(cls, paths: Sequence[Path]) -> "ProgramGraph":
         """Analyze every Python file under ``paths`` (files or dirs)."""
         graph = cls()
-        cache = graph._load_cache(cache_path)
-        cached_files = cache.get("files", {})
-        new_cache_files: Dict[str, object] = {}
         for root in paths:
             root = Path(root)
             if not root.exists():
                 raise LintEngineError(f"no such file or directory: {root}")
             for file_path in iter_python_files(root):
                 key = str(file_path)
-                source = read_source(file_path)
-                digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-                entry = cached_files.get(key)
-                if entry is not None and entry.get("sha") == digest:
-                    extract = ModuleExtract.from_json(entry["extract"])
-                    graph.cache_hits += 1
-                else:
-                    extract = extract_module(
-                        key, module_name_for(file_path), source)
-                    graph.cache_misses += 1
-                graph.modules[key] = extract
-                new_cache_files[key] = {"sha": digest,
-                                        "extract": extract.to_json()}
+                graph.modules[key] = extract_module(
+                    key, module_name_for(file_path), read_source(file_path))
         graph._infer_hot_paths()
-        if cache_path is not None:
-            graph._save_cache(cache_path, new_cache_files)
         return graph
 
     @classmethod
@@ -617,32 +531,8 @@ class ProgramGraph:
         graph = cls()
         extract = extract_module(path, module_name_for(Path(path)), source)
         graph.modules[path] = extract
-        graph.cache_misses = 1
         graph._infer_hot_paths()
         return graph
-
-    # -- cache ----------------------------------------------------------
-
-    def _load_cache(self, cache_path: Optional[Path]) -> Dict[str, Dict]:
-        if cache_path is None or not Path(cache_path).exists():
-            return {}
-        try:
-            data = json.loads(Path(cache_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return {}
-        if data.get("version") != CACHE_VERSION:
-            return {}
-        return data
-
-    def _save_cache(self, cache_path: Path,
-                    files: Dict[str, object]) -> None:
-        payload = json.dumps({"version": CACHE_VERSION, "files": files},
-                             sort_keys=True)
-        try:
-            Path(cache_path).write_text(payload, encoding="utf-8")
-        except OSError as error:
-            raise LintEngineError(
-                f"cannot write cache {cache_path}: {error}") from error
 
     # -- hot-path inference ---------------------------------------------
 
@@ -765,18 +655,16 @@ class ProgramGraph:
         self._workers = seen
         return set(seen)
 
-    def merge_functions(self) -> Dict[Tuple[str, str], str]:
-        """``(path, qualname) -> sensitivity`` of every merge-fn.
+    def merge_functions(self) -> Set[Tuple[str, str]]:
+        """``(path, qualname)`` of every merge-fn.
 
-        The static half of the merge registry: the functions annotated
+        The merge registry: the functions annotated
         ``# totolint: merge-fn`` that TL034 checks for left-fold
-        conformance and FloatSan wraps at runtime.
+        conformance.
         """
-        found: Dict[Tuple[str, str], str] = {}
-        for path, extract in sorted(self.modules.items()):
-            for qualname, sensitivity in extract.merge_fns:
-                found[(path, qualname)] = sensitivity
-        return found
+        return {(path, qualname)
+                for path, extract in self.modules.items()
+                for qualname in extract.merge_fns}
 
     def canonical_sink_names(self) -> Set[str]:
         """Terminal names of ``# totolint: canonical-json`` functions."""
@@ -809,12 +697,12 @@ class ProgramGraph:
 
         merge_names = {qualname.rsplit(".", 1)[-1]
                        for extract in self.modules.values()
-                       for qualname, _ in extract.merge_fns}
+                       for qualname in extract.merge_fns}
         anchor_names = merge_names | self.canonical_sink_names()
 
         numeric: Dict[str, List[Tuple[int, int, str]]] = {}
         for path, extract in self.modules.items():
-            anchors = {qualname for qualname, _ in extract.merge_fns}
+            anchors = set(extract.merge_fns)
             anchors.update(extract.canonical_fns)
             for function in extract.functions:
                 if function.qualname in anchors or any(

@@ -12,9 +12,9 @@ that contract checkable:
 
 * functions annotated ``# totolint: merge-fn`` form the **merge
   registry** — the only sanctioned float-reduction sites.  TL034
-  checks their bodies statically; FloatSan (``repro run --floatsan``)
-  audits their operand order at runtime and cross-checks the same
-  registry, so a stale annotation shows up on both sides;
+  checks their bodies are sequential left folds; the golden fleet
+  digests and a shard-permutation property test check that callers
+  feed them spec order;
 * the **numeric scope** is everything reachable from registered merge
   helpers and ``# totolint: canonical-json`` sinks (plus their direct
   callers) via the PR-4 name-level over-approximation — the code that
@@ -265,8 +265,7 @@ class NoNumpyReductionAcrossBoundary(NumericPathRule):
         if not candidates:
             return
         extract = _module_extract(context)
-        merge_spans = _spans(
-            extract, {qualname for qualname, _ in extract.merge_fns})
+        merge_spans = _spans(extract, set(extract.merge_fns))
         for node in candidates:
             if _in_spans(node.lineno, merge_spans):
                 continue  # TL034 audits registered merge bodies
@@ -450,14 +449,14 @@ class MergeProtocolConformance(Rule):
         "spec-ordered input. A `reduce()`, numpy reduction, recursion, "
         "`reversed()`, or re-sort of the input inside a registered "
         "helper silently changes the association or operand order — "
-        "bit drift that FloatSan would only catch at runtime. "
+        "bit drift that surfaces only as a moved golden digest. "
         "Conversely, a function that loop-accumulates KPI aggregates "
-        "without the annotation is a merge site invisible to both the "
-        "static registry and FloatSan's runtime audit; register it.")
+        "without the annotation is a merge site invisible to the "
+        "registry and to this rule; register it.")
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
         extract = _module_extract(context)
-        registered = {qualname for qualname, _ in extract.merge_fns}
+        registered = set(extract.merge_fns)
         for qualname, function in _functions_with_qualnames(context.tree):
             if qualname in registered:
                 yield from self._check_merge_body(context, qualname,
@@ -467,8 +466,7 @@ class MergeProtocolConformance(Rule):
                     context, function,
                     f"`{qualname}()` loop-accumulates KPI aggregates "
                     "without a `# totolint: merge-fn` annotation; "
-                    "register it so TL034 and FloatSan can audit the "
-                    "fold order")
+                    "register it so TL034 can audit the fold order")
 
     def _check_merge_body(self, context: ModuleContext, qualname: str,
                           function: ast.AST) -> Iterator[Violation]:

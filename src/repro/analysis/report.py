@@ -26,12 +26,10 @@ def format_text(report: LintReport, verbose: bool = False) -> str:
                           for code, count in report.counts().items())
         lines.append(f"totolint: {report.files_checked} files checked, "
                      f"{len(report.violations)} violations ({tally})")
-    if report.cache_hits or report.cache_misses:
+    if report.program_built:
         lines.append(f"totolint: program graph: "
                      f"{report.hot_functions} hot functions, "
-                     f"{report.registry_size} registry substreams, "
-                     f"cache hits {report.cache_hits} / "
-                     f"misses {report.cache_misses}")
+                     f"{report.registry_size} registry substreams")
     if verbose and not report.clean:
         lines.append("suppress a finding with "
                      "`# totolint: disable=<RULE>` on the flagged line")
@@ -51,7 +49,8 @@ def format_json(report: LintReport) -> str:
           "counts": {"TL001": 0-n, ...},
           "violations": [
             {"rule", "path", "line", "col", "message"}, ...
-          ]
+          ],
+          "program": {"registry_size": 0-n, "hot_functions": 0-n}
         }
     """
     document: Dict[str, object] = {
@@ -68,8 +67,6 @@ def format_json(report: LintReport) -> str:
         ],
         # Additive (version stays 1): whole-program pass statistics.
         "program": {
-            "cache_hits": report.cache_hits,
-            "cache_misses": report.cache_misses,
             "registry_size": report.registry_size,
             "hot_functions": report.hot_functions,
         },

@@ -139,11 +139,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         result, report = verify_run(scenario)
         print(report.format())
         detsan_exit = 0 if report.ok else 1
-    if args.floatsan:
-        from repro.analysis.floatsan import verify_float_run
-        result, float_report = verify_float_run(scenario)
-        print(float_report.format())
-        detsan_exit = detsan_exit or (0 if float_report.ok else 1)
     if result is None:
         result = run_scenario(scenario)
     kpis = result.kpis
@@ -263,9 +258,7 @@ def cmd_incident(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.cli import run_lint
     return run_lint(paths=args.paths, output_format=args.format,
-                    rules=args.rules, list_rules=args.list_rules,
-                    sarif=args.sarif, cache=args.cache,
-                    no_program=args.no_program)
+                    rules=args.rules, list_rules=args.list_rules)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,13 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "twice, cross-check the RNG/event ledgers and "
                           "the static substream registry (exit 1 on any "
                           "divergence or unknown draw site)")
-    run.add_argument("--floatsan", action="store_true",
-                     help="run under the reduction-order sanitizer: "
-                          "audit every registered merge-fn's operand "
-                          "order, replay insensitive-declared merges "
-                          "under permutation, and cross-check the "
-                          "static TL034 registry (exit 1 on any "
-                          "divergence or a stale registry)")
     run.add_argument("--trace", action="store_true",
                      help="record a span per executed event (plus chaos "
                           "gate marks) to trace.jsonl")

@@ -401,6 +401,8 @@ class TestEngine:
         assert document["counts"] == {"TL001": 1, "TL005": 1}
         assert set(document["violations"][0]) \
             == {"rule", "path", "line", "col", "message"}
+        assert document["program"] == {"registry_size": 0,
+                                       "hot_functions": 0}
 
     def test_text_report_summarizes(self):
         report = lint_source("def a(x=[]):\n    return x\n")
@@ -409,6 +411,12 @@ class TestEngine:
         assert "1 violations (TL005 x1)" in text
         clean = format_text(LintReport(violations=(), files_checked=3))
         assert "3 files checked, no violations" in clean
+        assert "program graph" not in clean
+        graphed = format_text(LintReport(
+            violations=(), files_checked=3, program_built=True,
+            registry_size=13, hot_functions=256))
+        assert graphed.endswith("program graph: 256 hot functions, "
+                                "13 registry substreams")
 
 
 class TestExitCodes:

@@ -1,15 +1,12 @@
-"""The numeric-determinism tier (TL030..TL034) and the FloatSan sanitizer.
+"""The numeric-determinism tier (TL030..TL034).
 
 Per-rule fired/silent fixture pairs over fleet-package fixture paths,
 rule selection by code, the repo-wide numeric-clean invariant, the
-repo's merge registry, FloatSan's wrapper semantics (spec-order
-audit, permuted replay, stale-registry detection, mock.patch-style
-installation), a seeded pairwise merge caught by *both* the static
-rule and the runtime sanitizer, and a Hypothesis property pinning the
-permutation invariance the registered helpers promise.
+repo's merge registry, a seeded pairwise merge the static rule
+catches, and a Hypothesis property pinning the permutation invariance
+the registered helpers promise.
 """
 
-import dataclasses
 import pathlib
 import random
 from io import StringIO
@@ -17,19 +14,8 @@ from io import StringIO
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    FloatSan,
-    get_rules,
-    lint_source,
-    merge_registry,
-)
+from repro.analysis import ProgramGraph, get_rules, lint_source
 from repro.analysis.cli import EXIT_INTERNAL_ERROR, run_lint
-from repro.analysis.floatsan import (
-    MAX_REPLAYS,
-    SPEC_KEYS,
-    _first_divergence,
-    _result_bits,
-)
 from repro.analysis.numeric_rules import NUMERIC_TIER
 from repro.analysis.rules import all_rules
 from repro.fleet.summary import (
@@ -79,8 +65,7 @@ def _summary(index, value, hours=2):
 
 class TestNumericTierRegistration:
     def test_all_five_rules_registered_as_errors(self):
-        # Every rule is a hard gate (SARIF level "error", see
-        # test_analysis_program.py::TestSarif).
+        # Every rule is a hard gate: registering it makes it an error.
         registered = {rule.code for rule in all_rules()}
         for code in NUMERIC_TIER:
             assert code in registered
@@ -324,12 +309,17 @@ class TestRepoNumericState:
             f"{v.path}:{v.line} {v.rule} {v.message}" for v in numeric]
 
     def test_merge_registry_matches_the_annotated_helpers(self):
-        registry = merge_registry([SRC])
+        registry = ProgramGraph.build([SRC]).merge_functions()
         qualnames = sorted(qualname for _, qualname in registry)
         assert qualnames == ["adjusted_revenue_report",
                              "merge_backend_summaries", "merge_frames",
                              "merge_summaries"]
-        assert set(registry.values()) == {"ordered"}
+
+
+def _bits(value):
+    """Bit-exact fingerprint of a merge result: ``repr`` round-trips
+    floats exactly and dataclass reprs include every field."""
+    return repr(value)
 
 
 def _left_fold(values):
@@ -346,216 +336,12 @@ def _pairwise(values):
     return _pairwise(values[:mid]) + _pairwise(values[mid:])
 
 
-class _Operand:
-    def __init__(self, **attrs):
-        for key, value in attrs.items():
-            setattr(self, key, value)
-
-
-class TestResultBitsAndDivergence:
-    def test_equal_bits_iff_equal_reprs(self):
-        assert _result_bits(0.1 + 0.2) == _result_bits(0.1 + 0.2)
-        assert _result_bits(0.1 + 0.2) != _result_bits(0.3)
-
-    def test_first_divergence_walks_dataclass_fields(self):
-        a = _summary(0, 1.0)
-        b = dataclasses.replace(a, final_disk_gb=3.0)
-        path, left, right = _first_divergence(a, b)
-        assert path == "result.final_disk_gb"
-        assert (left, right) == (2.0, 3.0)
-
-    def test_first_divergence_indexes_sequences_and_dicts(self):
-        path, left, right = _first_divergence([1.0, 2.0], [1.0, 2.5])
-        assert path == "result[1]"
-        assert (left, right) == (2.0, 2.5)
-        path, left, right = _first_divergence({"a": 1.0}, {"a": 1.5})
-        assert path == "result['a']"
-
-
-class TestFloatSanOrderedWrapper:
-    def _wrapped(self, fn=_left_fold, sensitivity="ordered"):
-        sanitizer = FloatSan({})
-        return sanitizer, sanitizer._wrap("probe", sensitivity, fn)
-
-    def test_out_of_spec_order_is_reported_once_with_both_keys(self):
-        sanitizer, wrapped = self._wrapped(lambda ops: len(ops))
-        operands = [_Operand(name="fleet-x-0002"),
-                    _Operand(name="fleet-x-0000"),
-                    _Operand(name="fleet-x-0001")]
-        wrapped(operands)
-        assert len(sanitizer.order_violations) == 1
-        violation = sanitizer.order_violations[0]
-        assert violation.spec_key == "name"
-        assert violation.index == 1
-        assert violation.previous == "fleet-x-0002"
-        assert violation.current == "fleet-x-0000"
-        assert "spec order" in violation.format()
-
-    def test_spec_key_priority_is_hour_index_first(self):
-        assert SPEC_KEYS[0] == "hour_index"
-        sanitizer, wrapped = self._wrapped(lambda ops: len(ops))
-        # hour_index ascending wins even though name is descending.
-        wrapped([_Operand(hour_index=0, name="b"),
-                 _Operand(hour_index=1, name="a")])
-        assert sanitizer.order_violations == []
-        wrapped([_Operand(hour_index=1, name="a"),
-                 _Operand(hour_index=0, name="b")])
-        assert [v.spec_key for v in sanitizer.order_violations] \
-            == ["hour_index"]
-
-    def test_ordered_fn_is_never_reinvoked(self):
-        calls = []
-
-        def observed(values):
-            calls.append(list(values))
-            return _left_fold(values)
-
-        sanitizer, wrapped = self._wrapped(observed)
-        assert wrapped(DIVERGENT) == 0.0
-        assert len(calls) == 1
-        assert sanitizer.stats["probe"].replays == 0
-        assert sanitizer.divergences == []
-
-    def test_scalar_arguments_skip_the_order_audit(self):
-        sanitizer, wrapped = self._wrapped(lambda acc, item: acc + item,
-                                           sensitivity="ordered")
-        assert wrapped(1.0, 2.0) == 3.0
-        assert sanitizer.order_violations == []
-
-
-class TestFloatSanInsensitiveReplay:
-    def _wrapped(self, fn):
-        sanitizer = FloatSan({})
-        return sanitizer, sanitizer._wrap("probe", "insensitive", fn)
-
-    def test_order_sensitive_fold_declared_insensitive_diverges(self):
-        sanitizer, wrapped = self._wrapped(_left_fold)
-        assert wrapped(DIVERGENT) == 0.0
-        assert len(sanitizer.divergences) == 1
-        divergence = sanitizer.divergences[0]
-        assert divergence.qualname == "probe"
-        assert divergence.permutation == "reversed"
-        assert divergence.operands == 3
-        assert "order-sensitive" in divergence.format()
-
-    def test_truthful_insensitivity_claim_holds(self):
-        calls = []
-
-        def int_sum(values):
-            calls.append(list(values))
-            return sum(values)
-
-        sanitizer, wrapped = self._wrapped(int_sum)
-        assert wrapped([1, 2, 3]) == 6
-        # One real invocation plus the reversed and rotated replays.
-        assert len(calls) == 3
-        assert sanitizer.divergences == []
-        assert sanitizer.stats["probe"].replays == 1
-
-    def test_replays_are_capped(self):
-        sanitizer, wrapped = self._wrapped(lambda v: sum(v))
-        for _ in range(MAX_REPLAYS + 4):
-            wrapped([1, 2])
-        assert sanitizer.stats["probe"].replays == MAX_REPLAYS
-        assert sanitizer.stats["probe"].invocations == MAX_REPLAYS + 4
-
-
-class TestFloatSanReportShape:
-    def test_stale_registry_fails_loudly(self):
-        sanitizer = FloatSan({("src/x.py", "merge"): "ordered"})
-        sanitizer.patched = ["merge"]
-        report = sanitizer.report()
-        assert report.stale_registry
-        assert not report.ok
-        assert "STALE REGISTRY" in report.format()
-
-    def test_unpatchable_registry_is_not_stale(self):
-        # Nothing resolved, nothing patched: the report must not claim
-        # staleness it could never have observed.
-        report = FloatSan({}).report()
-        assert not report.stale_registry
-        assert report.ok
-        assert "OK" in report.format()
-
-    def test_violations_render_in_the_report(self):
-        sanitizer = FloatSan({})
-        wrapped = sanitizer._wrap("probe", "insensitive", _left_fold)
-        wrapped(DIVERGENT)
-        report = sanitizer.report()
-        assert not report.ok
-        formatted = report.format()
-        assert "DIVERGENCE" in formatted
-        assert "probe" in formatted
-
-
-class TestFloatSanInstallation:
-    def test_install_patches_direct_importers_and_restores(self):
-        import repro.fleet.runner as fleet_runner
-        import repro.fleet.summary as fleet_summary
-        original = fleet_summary.merge_summaries
-        summaries = [_summary(0, 1.25), _summary(1, 2.5)]
-        expected = merge_summaries(summaries)
-        sanitizer = FloatSan(merge_registry([SRC]))
-        sanitizer.install()
-        try:
-            # Direct importers (fleet.runner) hold the wrapper too, the
-            # property plain defining-module patching would miss.
-            assert fleet_summary.merge_summaries is not original
-            assert fleet_runner.merge_summaries \
-                is fleet_summary.merge_summaries
-            kpis = fleet_summary.merge_summaries(summaries)
-        finally:
-            sanitizer.uninstall()
-        assert fleet_summary.merge_summaries is original
-        assert fleet_runner.merge_summaries is original
-        assert kpis == expected
-        report = sanitizer.report()
-        assert report.ok, report.format()
-        assert "merge_summaries" in report.fired
-        assert report.invocations == 1
-
-    def test_out_of_spec_feed_through_patched_helper_fires(self):
-        import repro.fleet.summary as fleet_summary
-        sanitizer = FloatSan(merge_registry([SRC]))
-        sanitizer.install()
-        try:
-            fleet_summary.merge_summaries(
-                [_summary(1, 2.5), _summary(0, 1.25)])
-        finally:
-            sanitizer.uninstall()
-        report = sanitizer.report()
-        assert not report.ok
-        assert [v.spec_key for v in report.order_violations] == ["name"]
-        assert "ORDER VIOLATION" in report.format()
-
-    def test_install_is_idempotent_and_uninstall_is_safe_twice(self):
-        sanitizer = FloatSan(merge_registry([SRC]))
-        sanitizer.install()
-        patched = list(sanitizer.patched)
-        sanitizer.install()
-        assert sanitizer.patched == patched
-        sanitizer.uninstall()
-        sanitizer.uninstall()
-
-
-class TestFloatSanCli:
-    def test_run_parser_accepts_floatsan(self):
-        from repro.cli import build_parser
-        args = build_parser().parse_args(["run", "--floatsan"])
-        assert args.floatsan is True
-        args = build_parser().parse_args(["run"])
-        assert args.floatsan is False
-
-
 class TestSeededPairwiseMerge:
-    """One seeded bug, caught by both halves of the contract.
-
-    A tree-shaped (pairwise) merge changes float association, so it is
-    exactly what TL034 bans statically and what FloatSan's permuted
-    replay detects at runtime.
+    """One seeded bug: a tree-shaped (pairwise) merge changes float
+    association, so it is exactly what TL034 bans statically.
     """
 
-    PAIRWISE = ("# totolint: merge-fn=insensitive\n"
+    PAIRWISE = ("# totolint: merge-fn\n"
                 "def merge_totals(parts):\n"
                 "    if len(parts) == 1:\n"
                 "        return parts[0]\n"
@@ -568,16 +354,6 @@ class TestSeededPairwiseMerge:
                              rules=get_rules(["TL034"]))
         assert codes(report) == ["TL034", "TL034"]
         assert "self-recursion" in report.violations[0].message
-
-    def test_floatsan_replay_catches_the_same_bug(self):
-        sanitizer = FloatSan({})
-        wrapped = sanitizer._wrap("merge_totals", "insensitive",
-                                  _pairwise)
-        # Pairwise: 1.0 + (1e16 + -1e16) = 1.0; reversed the small
-        # operand is absorbed and the result collapses to 0.0.
-        assert wrapped(DIVERGENT) == 1.0
-        assert len(sanitizer.divergences) == 1
-        assert sanitizer.divergences[0].permutation == "reversed"
 
 
 class TestMergeOrderProperty:
@@ -600,10 +376,10 @@ class TestMergeOrderProperty:
         # What the parent does with completion-ordered worker results:
         # restore spec order (the zero-padded name), then fold.
         restored = sorted(shuffled, key=lambda summary: summary.name)
-        assert _result_bits(merge_summaries(restored)) \
-            == _result_bits(merge_summaries(summaries))
-        assert _result_bits(merge_frames(restored)) \
-            == _result_bits(merge_frames(summaries))
+        assert _bits(merge_summaries(restored)) \
+            == _bits(merge_summaries(summaries))
+        assert _bits(merge_frames(restored)) \
+            == _bits(merge_frames(summaries))
         assert fleet_digest(restored) == fleet_digest(summaries)
 
     @settings(max_examples=10, deadline=None)

@@ -107,12 +107,9 @@ class TestStaticAnalysisDoc:
         assert "DetSan" in self.DOC
         assert "substream=" in self.DOC
         assert "fleet-scale" in self.DOC
-        assert "--cache" in self.DOC
-        assert "SARIF" in self.DOC
 
     def test_readme_mentions_the_runtime_half(self):
         assert "--detsan" in README
-        assert "--floatsan" in README
         assert "TL001–TL014" in README
         assert "TL022" in README and "TL023" in README
         assert "TL030–TL034" in README
@@ -125,14 +122,18 @@ class TestStaticAnalysisDoc:
             "docs/STATIC_ANALYSIS.md sections out of sync with the registry"
 
     def test_retired_lint_tools_not_documented(self):
-        """PerfSan, the baseline ratchet, the tier-split options and
-        rules TL020/TL021/TL024 are gone."""
+        """PerfSan, FloatSan, the baseline ratchet, the extract cache,
+        SARIF output, the tier-split and graph-less options and rules
+        TL020/TL021/TL024 are gone."""
         docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
                 *sorted((REPO / "docs").glob("*.md")),
                 REPO / "tools" / "totolint.py"]
         retired = ("--perfsan", "PerfSan", "totolint-baseline.json",
                    "--write-baseline", "--select", "--ignore",
-                   "TL020", "TL021", "TL024")
+                   "TL020", "TL021", "TL024",
+                   "--floatsan", "FloatSan", "merge-fn=insensitive",
+                   "--cache", ".totolint-cache", "--sarif", "SARIF",
+                   "--no-program")
         for path in docs:
             text = path.read_text()
             for name in retired:
@@ -142,12 +143,9 @@ class TestStaticAnalysisDoc:
 class TestNumericDoc:
     DOC = (REPO / "docs" / "STATIC_ANALYSIS.md").read_text()
 
-    def test_numeric_tier_and_floatsan_are_documented(self):
-        assert "--floatsan" in self.DOC
-        assert "FloatSan" in self.DOC
+    def test_numeric_tier_annotations_are_documented(self):
         assert "merge-fn" in self.DOC
         assert "canonical-json" in self.DOC
-        assert "merge-fn=insensitive" in self.DOC
 
     def test_every_numeric_rule_has_a_section(self):
         from repro.analysis.numeric_rules import NUMERIC_TIER
@@ -155,28 +153,11 @@ class TestNumericDoc:
             assert f"### {code} — " in self.DOC, \
                 f"docs/STATIC_ANALYSIS.md has no section for {code}"
 
-    def test_doc_spec_keys_match_floatsan(self):
-        # The documented spec-order keys are FloatSan's actual probe
-        # order, not an approximation of it.
-        from repro.analysis.floatsan import SPEC_KEYS
-        for key in SPEC_KEYS:
-            assert f"`{key}`" in self.DOC, \
-                f"docs/STATIC_ANALYSIS.md misses spec key {key}"
-
     def test_doc_kpi_aggregates_match_the_rule(self):
         from repro.analysis.numeric_rules import _KPI_AGGREGATES
         for name in _KPI_AGGREGATES:
             assert name in self.DOC, \
                 f"docs/STATIC_ANALYSIS.md misses KPI aggregate {name}"
-
-    def test_annotated_merge_fns_exist_and_are_ordered(self):
-        from repro.analysis import merge_registry
-        registry = merge_registry([REPO / "src" / "repro"])
-        qualnames = {qualname for _, qualname in registry}
-        assert qualnames == {"merge_summaries", "merge_frames",
-                             "merge_backend_summaries",
-                             "adjusted_revenue_report"}
-        assert set(registry.values()) == {"ordered"}
 
 
 class TestObsDoc:

@@ -6,11 +6,12 @@ the merged digest so any silent drift in the simulator, the reducer,
 or the merge fails loudly.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
-from repro.fleet import ClusterTemplate, FleetTopology, run_fleet
+from repro.fleet import ClusterTemplate, FleetTopology, fleet_digest, run_fleet
 from repro.sqldb.database import DatabaseInstance
 from repro.sqldb.slo import get_slo
 
@@ -41,6 +42,10 @@ class TestFleetGolden:
 
     GOLDEN_DIGEST = ("cb442bafd96614c58ce330cc05169da648e488b4"
                      "ed674fa7c2830b3c5eb97ae7")
+    #: The same 100 clusters named ``fleet-bench-NNNN``: the fleet row
+    #: of BENCH_perf.json (``benchmarks/emit_bench.py``).
+    BENCH_DIGEST = ("ddd9d30b819067f71188a6331f3d1313"
+                    "b4d6d032e1a135864b231c14dfad833f")
 
     def topology(self):
         return FleetTopology(cluster_count=100, prefix="golden",
@@ -59,3 +64,10 @@ class TestFleetGolden:
         assert kpis.failover_count == 0
         assert kpis.penalized_databases == 1
         assert result.digest == self.GOLDEN_DIGEST
+        # Names are the only difference from the benchmark's topology,
+        # so renaming the summaries replays its digest without a rerun.
+        bench = dataclasses.replace(self.topology(), prefix="bench")
+        renamed = [dataclasses.replace(summary,
+                                       name=bench.cluster_name(index))
+                   for index, summary in enumerate(result.summaries)]
+        assert fleet_digest(renamed) == self.BENCH_DIGEST

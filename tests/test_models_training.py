@@ -197,6 +197,17 @@ class TestFullPipeline:
         restored = parse_model_xml(xml)
         assert len(restored.resource_models) == 2
 
+    def test_default_document_sha256_is_pinned(self):
+        """Every golden digest depends on the default trained document;
+        the run manifest records this hash as
+        ``models.document_sha256``."""
+        from repro.core.model_xml import serialize_model_xml
+        from repro.experiments.scenarios import trained_artifacts
+        from repro.obs.manifest import sha256_text
+        xml = serialize_model_xml(trained_artifacts().document)
+        assert sha256_text(xml) == ("93ae17367eb60b9a3ed8348e428f5f56"
+                                    "828e64727a6616cc34b9785037c3ae8a")
+
     def test_gp_model_not_persisted_bc_persisted(self, tiny_artifacts):
         by_edition = {model.selector.edition: model
                       for model in tiny_artifacts.document.resource_models}

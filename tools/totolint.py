@@ -9,8 +9,6 @@ Usage::
 
     python tools/totolint.py                       # lint src/repro, every rule
     python tools/totolint.py --format json         # CI artifact
-    python tools/totolint.py --sarif               # SARIF 2.1.0
-    python tools/totolint.py --cache .totolint-cache.json    # incremental
     python tools/totolint.py --rules TL001,TL006 src/repro/simkernel
     python tools/totolint.py --list-rules          # the catalogue
 """
