@@ -24,12 +24,12 @@ from repro.analysis.engine import lint_paths  # noqa: E402
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
-def _bench_rules(repeats: int, rules=None) -> dict:
-    """Time full-tree analysis, best of ``repeats`` cold runs."""
+def bench_lint(repeats: int = 3) -> dict:
+    """Time full-catalogue analysis, best of ``repeats`` cold runs."""
     seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
-        report = lint_paths([SRC], rules=rules)
+        report = lint_paths([SRC])
         seconds.append(time.perf_counter() - start)
     return {
         "files": report.files_checked,
@@ -37,24 +37,6 @@ def _bench_rules(repeats: int, rules=None) -> dict:
         "hot_functions": report.hot_functions,
         "cold_seconds": round(min(seconds), 3),
     }
-
-
-def bench_lint(repeats: int = 3) -> dict:
-    """Full-catalogue analysis."""
-    return _bench_rules(repeats)
-
-
-def bench_totonum(repeats: int = 3) -> dict:
-    """The numeric tier (TL030..TL034) alone.
-
-    The numeric rules share the program graph (merge registry,
-    canonical sinks, numeric intervals) with the other rules; this row
-    keeps the tier's marginal cost visible in BENCH_perf.json.
-    """
-    from repro.analysis.numeric_rules import NUMERIC_TIER
-    from repro.analysis.rules import get_rules
-
-    return _bench_rules(repeats, rules=get_rules(NUMERIC_TIER))
 
 
 def main() -> int:

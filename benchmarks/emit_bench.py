@@ -10,16 +10,14 @@ Usage::
         # < 1.0 on a machine with enough cores, when re-measured kernel
         # throughput drops >20% (skipped with a warning if the
         # committed record came from a machine with a different core
-        # count), or when one re-measured cold lint takes >50% longer
+        # count), or when the re-measured cold lint takes >50% longer
         # than committed
 
-Records three headline numbers so future PRs can compare against the
+Records these numbers so later changes can compare against the
 current state instead of guessing:
 
 * ``kernel_events_per_sec`` — raw event-layer throughput
   (``bench_perf_kernel.pump_kernel``);
-* ``single_run`` — events/sec of one full benchmark run (models, PLB,
-  telemetry included), the number that dominates every study;
 * ``sweep`` — wall-clock of the 4-density x N-seed sweep at
   ``workers=1`` vs ``workers=4`` and the resulting speedup. The block
   records ``effective_cores``; when the machine has fewer cores than
@@ -35,6 +33,9 @@ current state instead of guessing:
   the 100-cluster value;
 * ``lint`` — one cold whole-program analysis of ``src/repro``
   (``benchmarks/bench_lint.py``).
+
+Seconds per simulated cluster-day of a full run are measured by
+``perfbench/run.py``, not here.
 
 The JSON lands in the repo root as ``BENCH_perf.json``; commit it so
 the trajectory is versioned alongside the code it measures.
@@ -57,10 +58,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks.bench_lint import bench_lint, bench_totonum  # noqa: E402
+from benchmarks.bench_lint import bench_lint  # noqa: E402
 from benchmarks.bench_perf_kernel import pump_kernel  # noqa: E402
 from repro import __version__  # noqa: E402
-from repro.core.runner import run_scenario  # noqa: E402
 from repro.experiments.scenarios import paper_scenario  # noqa: E402
 from repro.fleet import ClusterTemplate, FleetTopology, run_fleet  # noqa: E402
 from repro.parallel import SweepExecutor  # noqa: E402
@@ -70,7 +70,7 @@ OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 #: --check fails when the re-measured kernel throughput drops more than
 #: this fraction below the committed number.
 REGRESSION_TOLERANCE = 0.20
-#: --check fails when a re-measured cold lint takes more than this
+#: --check fails when the re-measured cold lint takes more than this
 #: fraction longer than the committed number (the analyzer is pure
 #: CPU-bound AST walking, so a 1.5x blowup is a real regression, not
 #: machine noise).
@@ -107,7 +107,7 @@ def check_kernel_regression(measured: float, out_path: str) -> int:
 def run_checks(out_path: str, kernel_events: int) -> int:
     """The ``--check`` regression gates against the committed record.
 
-    Four gates, all reported before the combined verdict:
+    Three gates, all reported before the combined verdict:
 
     * **sweep ratio** — the committed speedup must not be < 1.0;
       skipped (like the kernel gate) when the committed record is
@@ -116,11 +116,9 @@ def run_checks(out_path: str, kernel_events: int) -> int:
     * **kernel** — re-measure and compare throughput, skipped with a
       warning when the committed record was taken on a machine with a
       different core count (throughput is not comparable across them);
-    * **lint** — re-measure one cold whole-program analysis and fail
-      when it regressed more than ``LINT_REGRESSION_TOLERANCE``;
-    * **totonum** — same ceiling for one cold numeric-tier
-      (TL030..TL034) run, so the merge-registry/numeric-scope
-      inference cannot quietly blow up lint latency.
+    * **lint** — re-measure one cold whole-program analysis (the
+      full catalogue) and fail when it regressed more than
+      ``LINT_REGRESSION_TOLERANCE``.
     """
     path = pathlib.Path(out_path)
     if not path.exists():
@@ -180,21 +178,6 @@ def run_checks(out_path: str, kernel_events: int) -> int:
         print("lint gate skipped: committed record has no "
               "lint.cold_seconds")
 
-    committed_num = committed.get("totonum", {}).get("cold_seconds")
-    if committed_num:
-        print("cold numeric-tier lint ...", flush=True)
-        measured_num = bench_totonum(repeats=1)["cold_seconds"]
-        ceiling = committed_num * (1.0 + LINT_REGRESSION_TOLERANCE)
-        verdict = "OK" if measured_num <= ceiling else "REGRESSION"
-        print(f"totonum cold seconds: measured {measured_num} vs "
-              f"committed {committed_num} (ceiling {ceiling:.3f}) -> "
-              f"{verdict}")
-        if measured_num > ceiling:
-            failures += 1
-    else:
-        print("totonum gate skipped: committed record has no "
-              "totonum.cold_seconds")
-
     return 1 if failures else 0
 
 
@@ -225,20 +208,6 @@ def bench_fleet(clusters: int, node_count: int, days: float,
         "mode": sharded.mode,
         "digest": serial.digest,
         "digests_identical": serial.digest == sharded.digest,
-    }
-
-
-def bench_single_run(days: float, seed: int = 42) -> dict:
-    scenario = paper_scenario(density=1.1, days=days, seed=seed,
-                              maintenance=False)
-    start = time.perf_counter()
-    result = run_scenario(scenario)
-    elapsed = time.perf_counter() - start
-    return {
-        "days": days,
-        "events": result.events_executed,
-        "seconds": round(elapsed, 3),
-        "events_per_sec": round(result.events_executed / elapsed, 1),
     }
 
 
@@ -296,16 +265,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", default=str(OUT_PATH))
     parser.add_argument("--check", action="store_true",
-                        help="re-measure the kernel only and fail on a "
-                             ">20%% regression vs the committed record")
+                        help="run the regression gates against the "
+                             "committed record; writes nothing")
     args = parser.parse_args(argv)
 
     if args.quick:
-        kernel_events, run_days, sweep_days, seeds = 100_000, 0.25, 0.1, (42,)
+        kernel_events, sweep_days, seeds = 100_000, 0.1, (42,)
         fleet_clusters = 10
     else:
-        kernel_events, run_days, sweep_days, seeds = (
-            400_000, 6.0, 0.5, (42, 43, 44))
+        kernel_events, sweep_days, seeds = 400_000, 0.5, (42, 43, 44)
         fleet_clusters = 100
 
     if args.check:
@@ -315,11 +283,6 @@ def main(argv=None) -> int:
     kernel = bench_kernel(kernel_events)
     print(f"  {kernel['events_per_sec']:,.0f} events/sec "
           f"(best of {kernel['passes']})")
-
-    print(f"single {run_days:g}-day run ...", flush=True)
-    single = bench_single_run(run_days)
-    print(f"  {single['events_per_sec']:,.1f} events/sec "
-          f"({single['seconds']}s)")
 
     print(f"4-density x {len(seeds)}-seed sweep, workers=1 vs "
           f"{args.workers} ...", flush=True)
@@ -341,10 +304,6 @@ def main(argv=None) -> int:
     lint = bench_lint(repeats=1 if args.quick else 3)
     print(f"  cold {lint['cold_seconds']}s")
 
-    print("numeric tier (TL030..TL034), cold ...", flush=True)
-    totonum = bench_totonum(repeats=1 if args.quick else 3)
-    print(f"  cold {totonum['cold_seconds']}s")
-
     payload = {
         "version": __version__,
         "quick": args.quick,
@@ -354,11 +313,9 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
         },
         "kernel_events_per_sec": round(kernel["events_per_sec"]),
-        "single_run": single,
         "sweep": sweep,
         "fleet": fleet,
         "lint": lint,
-        "totonum": totonum,
     }
     pathlib.Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -9,14 +9,13 @@ that determinism contract from both sides:
 * **Statically** — an AST lint engine (:mod:`.engine`) walks every
   module under ``src/repro/`` and applies the repo-specific rules
   registered in :mod:`.rules` (determinism TL001..TL014, fleet-scale
-  rescans and pickle-boundary purity TL022/TL023 in
-  :mod:`.perf_rules`, numeric determinism TL030..TL034 in
-  :mod:`.numeric_rules`); every rule is a hard gate.  A whole-program
-  pass (:mod:`.graph`) builds the import/call graph, infers the hot
-  set reachable from simkernel event handlers and chaos gates, derives
-  the RNG substream registry (:mod:`.registry`) behind the
-  TL010..TL012 rules, and collects the ``# totolint: merge-fn`` /
-  ``canonical-json`` registry behind the numeric tier.
+  rescans TL022 in :mod:`.perf_rules`, merge-protocol conformance
+  TL034 in :mod:`.numeric_rules`); every rule is a hard gate.  A
+  whole-program pass (:mod:`.graph`) builds the import/call graph,
+  infers the hot set reachable from simkernel event handlers and chaos
+  gates, derives the RNG substream registry (:mod:`.registry`) behind
+  the TL010..TL012 rules, and collects the ``# totolint: merge-fn``
+  registry behind TL034.
 * **At runtime** — the DetSan sanitizer (:mod:`.detsan`) replays a
   scenario twice, fingerprints every RNG draw and event scheduling,
   and cross-checks each observed stream acquisition against the static

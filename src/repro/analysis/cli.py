@@ -88,8 +88,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="totolint",
         description="determinism & correctness linter for the Toto "
-                    "reproduction (TL001..TL014, TL022, TL023, "
-                    "TL030..TL034; every rule is a hard gate)")
+                    "reproduction (TL001..TL014, TL022, TL034; "
+                    "every rule is a hard gate)")
     add_lint_arguments(parser)
     args = parser.parse_args(argv)
     return run_lint(paths=args.paths, output_format=args.format,

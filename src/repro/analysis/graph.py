@@ -77,23 +77,6 @@ _FLEET_ANNOTATION = re.compile(r"#\s*totolint:\s*fleet-scale\b")
 #: left fold.
 _MERGE_ANNOTATION = re.compile(r"#\s*totolint:\s*merge-fn\b")
 
-#: ``# totolint: canonical-json`` — marks the annotated function as a
-#: canonical float-rendering sink (digest/JSON export); TL033 flags
-#: ad-hoc float rendering on digest paths *outside* these sinks.
-_CANONICAL_ANNOTATION = re.compile(r"#\s*totolint:\s*canonical-json\b")
-
-#: Method names that mutate the receiver in place (TL023 input).
-_MUTATOR_METHODS = frozenset({
-    "append", "extend", "insert", "add", "update", "clear", "remove",
-    "discard", "pop", "popitem", "setdefault", "appendleft", "sort",
-})
-
-#: Constructors whose result is mutable shared state when bound at
-#: module level (mirrors TL005's list).
-_MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray",
-                            "defaultdict", "deque", "Counter",
-                            "OrderedDict"})
-
 
 @dataclass(frozen=True)
 class DrawSite:
@@ -150,10 +133,6 @@ class FunctionNode:
     #: Terminal names handed to schedule()/PeriodicProcess()/listener
     #: registrations — these are hot *roots*.
     callbacks: Tuple[str, ...]
-    #: Bare module-level names this function mutates in place
-    #: (subscript stores, mutator-method calls, `global` rebinding);
-    #: names the function also binds locally are filtered out.
-    mutations: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -168,23 +147,8 @@ class ModuleExtract:
     root_seed_reads: List[int] = field(default_factory=list)
     #: Names annotated ``# totolint: fleet-scale`` at assignment.
     fleet_scale: List[str] = field(default_factory=list)
-    #: Module-level names bound to mutable containers.
-    module_mutables: List[str] = field(default_factory=list)
-    #: Terminal names submitted to a worker pool (``pool.submit(f, ...)``).
-    worker_roots: List[str] = field(default_factory=list)
-    #: Terminal names passed as ``initializer=`` — the sanctioned
-    #: worker-state delivery path, exempt from TL023's mutation check.
-    worker_inits: List[str] = field(default_factory=list)
-    #: Lines where a lambda/closure is submitted to a pool directly.
-    worker_lambdas: List[int] = field(default_factory=list)
     #: Qualnames annotated ``# totolint: merge-fn``.
     merge_fns: List[str] = field(default_factory=list)
-    #: Qualnames annotated ``# totolint: canonical-json``.
-    canonical_fns: List[str] = field(default_factory=list)
-    #: Qualnames of functions that accumulate (``+=``) inside a loop —
-    #: the float-accumulation fact behind TL034's unannotated-merger
-    #: check (over-approximate: integer accumulators count too).
-    accumulators: List[str] = field(default_factory=list)
 
 
 def _terminal(node: ast.expr) -> Optional[str]:
@@ -196,36 +160,16 @@ def _terminal(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _is_mutable_value(node: ast.expr) -> bool:
-    """Whether an assigned value is a mutable container construct."""
-    if isinstance(node, (ast.List, ast.Dict, ast.Set,
-                         ast.ListComp, ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(node, ast.Call):
-        name = _terminal(node.func)
-        return name in _MUTABLE_CALLS
-    return False
-
-
 class _Scope:
     """One lexical scope being extracted (module, class, or function)."""
 
-    __slots__ = ("prefix", "calls", "refs", "callbacks", "mutations",
-                 "binds", "globals", "accumulates")
+    __slots__ = ("prefix", "calls", "refs", "callbacks")
 
     def __init__(self, prefix: str) -> None:
         self.prefix = prefix
         self.calls: List[str] = []
         self.refs: List[str] = []
         self.callbacks: List[str] = []
-        self.mutations: List[str] = []
-        #: Whether the scope runs an ``+=`` inside a loop body.
-        self.accumulates = False
-        #: Names bound locally (params, assignments, loop targets):
-        #: in-place mutation of these is not module-state mutation.
-        self.binds: Set[str] = set()
-        #: Names declared ``global`` — rebinding them *is* mutation.
-        self.globals: Set[str] = set()
 
 
 class _ModuleVisitor(ast.NodeVisitor):
@@ -238,7 +182,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             number for number, line in enumerate(self.lines, start=1)
             if _FLEET_ANNOTATION.search(line)}
         self._scopes: List[_Scope] = []
-        self._loop_depth = 0
 
     # -- scope helpers --------------------------------------------------
 
@@ -250,21 +193,13 @@ class _ModuleVisitor(ast.NodeVisitor):
     def _exit(self, node: ast.AST, is_function: bool) -> None:
         scope = self._scopes.pop()
         if is_function:
-            mutations = [name for name in scope.mutations
-                         if name not in scope.binds
-                         or name in scope.globals]
-            mutations.extend(name for name in sorted(scope.globals)
-                             if name in scope.binds)
-            if scope.accumulates:
-                self.extract.accumulators.append(scope.prefix)
             self.extract.functions.append(FunctionNode(
                 qualname=scope.prefix,
                 name=scope.prefix.rsplit(".", 1)[-1],
                 start=node.lineno,
                 end=getattr(node, "end_lineno", node.lineno),
                 calls=tuple(scope.calls), refs=tuple(scope.refs),
-                callbacks=tuple(scope.callbacks),
-                mutations=tuple(dict.fromkeys(mutations))))
+                callbacks=tuple(scope.callbacks)))
         elif self._scopes:
             # Class scope: fold leftovers into the enclosing scope so
             # class-body calls still produce edges.
@@ -272,15 +207,10 @@ class _ModuleVisitor(ast.NodeVisitor):
             outer.calls.extend(scope.calls)
             outer.refs.extend(scope.refs)
             outer.callbacks.extend(scope.callbacks)
-            outer.mutations.extend(scope.mutations)
 
     def _record(self, kind: str, name: Optional[str]) -> None:
         if name is not None and self._scopes:
             getattr(self._scopes[-1], kind).append(name)
-
-    @property
-    def _at_module_level(self) -> bool:
-        return len(self._scopes) == 1
 
     # -- visitors -------------------------------------------------------
 
@@ -296,21 +226,12 @@ class _ModuleVisitor(ast.NodeVisitor):
 
     def _visit_function(self, node: ast.AST, name: str) -> None:
         self._enter(name)
-        args = getattr(node, "args", None)
-        if args is not None:
-            scope = self._scopes[-1]
-            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
-                        args.vararg, args.kwarg):
-                if arg is not None:
-                    scope.binds.add(arg.arg)
-        self._note_function_annotations(node)
-        outer_depth, self._loop_depth = self._loop_depth, 0
+        self._note_merge_annotation(node)
         self.generic_visit(node)
-        self._loop_depth = outer_depth
         self._exit(node, is_function=True)
 
-    def _note_function_annotations(self, node: ast.AST) -> None:
-        """Pick up merge-fn / canonical-json markers on the signature.
+    def _note_merge_annotation(self, node: ast.AST) -> None:
+        """Pick up a merge-fn marker on the signature.
 
         Accepted placements: the line directly above the first
         decorator (or the ``def`` when undecorated), any decorator
@@ -328,9 +249,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             if _MERGE_ANNOTATION.search(line) \
                     and qualname not in self.extract.merge_fns:
                 self.extract.merge_fns.append(qualname)
-            if _CANONICAL_ANNOTATION.search(line) \
-                    and qualname not in self.extract.canonical_fns:
-                self.extract.canonical_fns.append(qualname)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._visit_function(node, node.name)
@@ -346,15 +264,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             self.extract.root_seed_reads.append(node.lineno)
         self.generic_visit(node)
 
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Store) and self._scopes:
-            self._scopes[-1].binds.add(node.id)
-        self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        if self._scopes:
-            self._scopes[-1].globals.update(node.names)
-
     def _note_fleet_scale(self, node: ast.stmt,
                           targets: Sequence[ast.expr]) -> None:
         end = getattr(node, "end_lineno", node.lineno)
@@ -366,44 +275,17 @@ class _ModuleVisitor(ast.NodeVisitor):
                         and name not in self.extract.fleet_scale:
                     self.extract.fleet_scale.append(name)
 
-    def _note_assignment(self, node: ast.stmt,
-                         targets: Sequence[ast.expr],
-                         value: Optional[ast.expr]) -> None:
-        self._note_fleet_scale(node, targets)
-        for target in targets:
-            if (isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)):
-                self._record("mutations", target.value.id)
-        if self._at_module_level and value is not None \
-                and _is_mutable_value(value):
-            for target in targets:
-                if isinstance(target, ast.Name) \
-                        and target.id not in self.extract.module_mutables:
-                    self.extract.module_mutables.append(target.id)
-
     def visit_Assign(self, node: ast.Assign) -> None:
-        self._note_assignment(node, node.targets, node.value)
+        self._note_fleet_scale(node, node.targets)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._note_assignment(node, [node.target], node.value)
+        self._note_fleet_scale(node, [node.target])
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._note_assignment(node, [node.target], None)
-        if self._loop_depth > 0 and isinstance(node.op, ast.Add) \
-                and self._scopes:
-            self._scopes[-1].accumulates = True
+        self._note_fleet_scale(node, [node.target])
         self.generic_visit(node)
-
-    def _visit_loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    visit_For = _visit_loop
-    visit_AsyncFor = _visit_loop
-    visit_While = _visit_loop
 
     def visit_Call(self, node: ast.Call) -> None:
         callee = _terminal(node.func)
@@ -412,21 +294,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             self._record_draw(node, callee)
         if callee is not None:
             self._record_callbacks(node, callee)
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-                and isinstance(node.func.value, ast.Name)):
-            self._record("mutations", node.func.value.id)
-        if callee == "submit" and node.args:
-            name = _terminal(node.args[0])
-            if name is not None:
-                self.extract.worker_roots.append(name)
-            if any(isinstance(arg, ast.Lambda) for arg in node.args):
-                self.extract.worker_lambdas.append(node.lineno)
-        for keyword in node.keywords:
-            if keyword.arg == "initializer":
-                name = _terminal(keyword.value)
-                if name is not None:
-                    self.extract.worker_inits.append(name)
         # Any bare function reference in an argument is address-taken.
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
             self._record("refs", _terminal(arg))
@@ -501,11 +368,6 @@ class ProgramGraph:
         #: path -> sorted (start, end, qualname) intervals of hot code.
         self._hot: Dict[str, List[Tuple[int, int, str]]] = {}
         self._hot_names: Set[str] = set()
-        #: Lazily-computed merge/digest-path intervals (numeric tier).
-        self._numeric: Optional[
-            Dict[str, List[Tuple[int, int, str]]]] = None
-        #: Memoized worker-reachable set (graph is immutable once built).
-        self._workers: Optional[Set[Tuple[str, str]]] = None
 
     # -- construction ---------------------------------------------------
 
@@ -610,51 +472,6 @@ class ProgramGraph:
         return {name for extract in self.modules.values()
                 for name in extract.fleet_scale}
 
-    def worker_initializer_names(self) -> Set[str]:
-        """Names passed as a pool ``initializer=`` anywhere."""
-        return {name for extract in self.modules.values()
-                for name in extract.worker_inits}
-
-    def worker_functions(self) -> Set[Tuple[str, str]]:
-        """(path, qualname) of every function that can run in a pool worker.
-
-        Roots: functions submitted to a pool (``pool.submit(f, ...)``)
-        or installed as its ``initializer=``.  Edges are the same
-        name-level over-approximation the hot-set inference uses.
-        """
-        if self._workers is not None:
-            return set(self._workers)
-        roots = {name for extract in self.modules.values()
-                 for name in (*extract.worker_roots,
-                              *extract.worker_inits)}
-        by_name: Dict[str, List[Tuple[str, FunctionNode]]] = {}
-        index: Dict[Tuple[str, str], FunctionNode] = {}
-        for path, extract in self.modules.items():
-            for function in extract.functions:
-                by_name.setdefault(function.name, []).append(
-                    (path, function))
-                index[(path, function.qualname)] = function
-
-        seen: Set[Tuple[str, str]] = set()
-        frontier = sorted(
-            (path, function.qualname)
-            for name in roots
-            for path, function in by_name.get(name, ()))
-        while frontier:
-            key = frontier.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            function = index[key]
-            for name in (*function.calls, *function.refs,
-                         *function.callbacks):
-                for target_path, target in by_name.get(name, ()):
-                    candidate = (target_path, target.qualname)
-                    if candidate not in seen:
-                        frontier.append(candidate)
-        self._workers = seen
-        return set(seen)
-
     def merge_functions(self) -> Set[Tuple[str, str]]:
         """``(path, qualname)`` of every merge-fn.
 
@@ -665,79 +482,6 @@ class ProgramGraph:
         return {(path, qualname)
                 for path, extract in self.modules.items()
                 for qualname in extract.merge_fns}
-
-    def canonical_sink_names(self) -> Set[str]:
-        """Terminal names of ``# totolint: canonical-json`` functions."""
-        return {qualname.rsplit(".", 1)[-1]
-                for extract in self.modules.values()
-                for qualname in extract.canonical_fns}
-
-    def float_accumulators(self) -> Set[Tuple[str, str]]:
-        """(path, qualname) of functions that ``+=``-accumulate in a loop."""
-        return {(path, qualname)
-                for path, extract in self.modules.items()
-                for qualname in extract.accumulators}
-
-    def numeric_intervals(self) -> Dict[str, List[Tuple[int, int, str]]]:
-        """path -> (start, end, qualname) intervals of merge/digest paths.
-
-        The scope of the numeric-determinism tier: registered merge
-        helpers, canonical-JSON sinks, and their direct callers or
-        referrers — the code that *feeds* values into a merged KPI or
-        golden digest.  Deliberately one hop, not a closure: a model
-        reducing over its own in-shard array is deterministic however
-        it folds; only the cross-shard aggregation step must pin an
-        order.  Computed lazily and memoized — the graph is immutable
-        once built.
-        """
-        cached = self._numeric
-        if cached is not None:
-            return {path: list(intervals)
-                    for path, intervals in cached.items()}
-
-        merge_names = {qualname.rsplit(".", 1)[-1]
-                       for extract in self.modules.values()
-                       for qualname in extract.merge_fns}
-        anchor_names = merge_names | self.canonical_sink_names()
-
-        numeric: Dict[str, List[Tuple[int, int, str]]] = {}
-        for path, extract in self.modules.items():
-            anchors = set(extract.merge_fns)
-            anchors.update(extract.canonical_fns)
-            for function in extract.functions:
-                if function.qualname in anchors or any(
-                        name in anchor_names
-                        for name in (*function.calls, *function.refs)):
-                    numeric.setdefault(path, []).append(
-                        (function.start, function.end,
-                         function.qualname))
-        for intervals in numeric.values():
-            intervals.sort()
-        self._numeric = numeric
-        return {path: list(intervals) for path, intervals in numeric.items()}
-
-    def is_numeric(self, path: str, line: int) -> bool:
-        """Whether ``line`` of ``path`` lies on a merge/digest path."""
-        intervals = self._numeric
-        if intervals is None:
-            self.numeric_intervals()
-            intervals = self._numeric or {}
-        for start, end, _ in intervals.get(path, ()):
-            if start <= line <= end:
-                return True
-        return False
-
-    def canonical_intervals(self, path: str) -> List[Tuple[int, int, str]]:
-        """(start, end, qualname) of canonical-JSON sinks in ``path``."""
-        extract = self.modules.get(path)
-        if extract is None:
-            return []
-        spans = []
-        for function in extract.functions:
-            if function.qualname in extract.canonical_fns:
-                spans.append((function.start, function.end,
-                              function.qualname))
-        return sorted(spans)
 
     def draw_sites(self) -> Tuple[DrawSite, ...]:
         """Every draw site in the program, in stable (path, line) order."""

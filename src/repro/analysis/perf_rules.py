@@ -1,27 +1,18 @@
-"""Rules that keep the simulator scaling: TL022 and TL023.
+"""TL022: the rule that keeps the simulator scaling.
 
-Both ride on the whole-program machinery of :mod:`.graph`:
-
-* **TL022** flags full scans of collections annotated
-  ``# totolint: fleet-scale`` on the inferred hot set, where a rescan
-  turns per-event work into O(fleet) work;
-* **TL023** is program-wide: it walks the functions reachable from
-  pool ``submit()`` sites (the :class:`~repro.parallel.SweepExecutor`
-  boundary) the same way hot-set inference walks callback roots, and
-  flags payloads that cannot pickle or worker code that mutates
-  module state.
+It rides on the whole-program machinery of :mod:`.graph`: it flags full
+scans of collections annotated ``# totolint: fleet-scale`` on the
+inferred hot set, where a rescan turns per-event work into O(fleet)
+work.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from repro.analysis.engine import ModuleContext, Violation
-from repro.analysis.rules import HotPathRule, Rule, register
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.registry import SubstreamRegistry
+from repro.analysis.rules import HotPathRule, register
 
 
 # ---------------------------------------------------------------------------
@@ -92,55 +83,3 @@ class NoFleetScaleRescans(HotPathRule):
             return node.attr
         return None
 
-
-# ---------------------------------------------------------------------------
-# TL023 — pickle-boundary purity for pool payloads (program-wide)
-
-
-@register
-class PickleBoundaryPurity(Rule):
-    code = "TL023"
-    title = "pool payloads must pickle and worker code must not mutate module state"
-    rationale = (
-        "The SweepExecutor boundary is a pickle boundary: a lambda or "
-        "closure submitted to the pool cannot pickle at all (the "
-        "executor silently falls back to serial, throwing the "
-        "parallelism away), and a worker-side function that mutates a "
-        "module-level cache builds state that never propagates back "
-        "to the parent — or worse, diverges between workers. Deliver "
-        "per-worker state through the pool initializer (the "
-        "`_WORKER_DOCS` pattern) and keep every payload a plain "
-        "picklable value. Worker-side reachability is name-based and "
-        "over-approximate, like the hot-set inference.")
-    program_wide = True
-
-    def check_program(self, registry: "SubstreamRegistry"
-                      ) -> Iterator[Violation]:
-        graph = registry.graph
-        inits = graph.worker_initializer_names()
-        for path in sorted(graph.modules):
-            for line in graph.modules[path].worker_lambdas:
-                yield Violation(
-                    path=path, line=line, col=0, rule=self.code,
-                    message="lambda submitted to a worker pool: "
-                            "closures do not pickle, so the sweep "
-                            "degrades to serial; submit a module-level "
-                            "function with picklable arguments")
-        index = {(path, function.qualname): function
-                 for path, extract in graph.modules.items()
-                 for function in extract.functions}
-        for path, qualname in sorted(graph.worker_functions()):
-            function = index[(path, qualname)]
-            if function.name in inits:
-                continue  # the sanctioned worker-state delivery path
-            mutables = set(graph.modules[path].module_mutables)
-            for name in function.mutations:
-                if name in mutables:
-                    yield Violation(
-                        path=path, line=function.start, col=0,
-                        rule=self.code,
-                        message=f"worker-side `{qualname}()` mutates "
-                                f"module-level `{name}`: worker-cache "
-                                "state never propagates back to the "
-                                "parent; deliver it via the pool "
-                                "initializer or key it by content")

@@ -744,10 +744,10 @@ class ObservabilityIsPassive(Rule):
 
 
 # ---------------------------------------------------------------------------
-# TL022/TL023 (fleet-scale rescans, the pickle boundary) and
-# TL030..TL034 (the numeric-determinism tier), defined in their own
-# modules.  Imported last: both subclass Rule/register above, which
-# are already bound by the time these imports execute.
+# TL022 (fleet-scale rescans) and TL034 (merge-protocol conformance),
+# defined in their own modules.  Imported last: both subclass
+# Rule/register above, which are already bound by the time these
+# imports execute.
 
 from repro.analysis import perf_rules as _perf_rules  # noqa: E402,F401
 from repro.analysis import numeric_rules as _numeric_rules  # noqa: E402,F401

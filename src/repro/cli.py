@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static analysis, every rule a hard gate "
-             "(TL001..TL014, TL022, TL023, TL030..TL034)")
+             "(TL001..TL014, TL022, TL034)")
     add_lint_arguments(lint)
     lint.set_defaults(func=cmd_lint)
 

@@ -14,8 +14,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ModelSpecError
 from repro.units import HOUR, is_weekend
 
@@ -50,11 +48,9 @@ class HourlyNormalSchedule:
     cells: Dict[Key, Tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Hot-path caches, invalidated by :meth:`set`: ``params_at`` is
-        # called once per replica per report sweep, and the batched
-        # samplers want whole-day parameter arrays.
+        # Hot-path cache, invalidated by :meth:`set`: ``params_at`` is
+        # called once per replica per report sweep.
         self._slot_cache: Optional[Tuple[int, int, float, float]] = None
-        self._array_cache: Dict[DayType, Tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def constant(cls, mu: float, sigma: float) -> "HourlyNormalSchedule":
@@ -80,7 +76,6 @@ class HourlyNormalSchedule:
             raise ModelSpecError(f"sigma must be >= 0, got {sigma}")
         self.cells[(daytype, hour)] = (float(mu), float(sigma))
         self._slot_cache = None
-        self._array_cache.clear()
 
     def params(self, daytype: DayType, hour: int) -> Tuple[float, float]:
         """(mu, sigma) for a cell; raises when the cell is missing."""
@@ -109,24 +104,6 @@ class HourlyNormalSchedule:
                                 (timestamp % (24 * HOUR)) // HOUR)
         self._slot_cache = (slot, start_weekday, mu, sigma)
         return mu, sigma
-
-    def params_arrays(self, daytype: DayType) -> Tuple[np.ndarray,
-                                                       np.ndarray]:
-        """``(mu[24], sigma[24])`` arrays for one day type, cached.
-
-        The batched samplers assemble their single numpy draw from
-        these instead of 24 dict lookups; requires a complete schedule.
-        """
-        cached = self._array_cache.get(daytype)
-        if cached is None:
-            self.validate()
-            mus = np.array([self.cells[(daytype, hour)][0]
-                            for hour in HOURS], dtype=float)
-            sigmas = np.array([self.cells[(daytype, hour)][1]
-                               for hour in HOURS], dtype=float)
-            cached = (mus, sigmas)
-            self._array_cache[daytype] = cached
-        return cached
 
     def scaled(self, factor: float) -> "HourlyNormalSchedule":
         """Scale every cell's mu and sigma by ``factor``.

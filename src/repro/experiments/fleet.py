@@ -210,7 +210,7 @@ def summarize_backend_result(result: BenchmarkResult) -> BackendClusterSummary:
     """Reduce one cluster's run for the backend comparison.
 
     Module-level on purpose: it is the sweep executor's ``reducer`` and
-    must pickle to the pooled workers (TL023's pickle-purity rule).
+    must pickle to the pooled workers, or the sweep runs serially.
     """
     kpis = result.kpis
     return BackendClusterSummary(
@@ -229,7 +229,6 @@ def summarize_backend_result(result: BenchmarkResult) -> BackendClusterSummary:
     )
 
 
-# totolint: canonical-json
 def backend_digest(summaries: Sequence[BackendClusterSummary]) -> str:
     """Canonical content hash of one backend's summaries.
 

@@ -35,9 +35,9 @@ _ARTIFACT_CACHE: Dict[Tuple, TrainingArtifacts] = {}
 
 # The memo below is keyed by content (profile name, seed, days, corpus
 # size) and training is a pure function of that key, so a worker-local
-# cache entry can never diverge from the parent's — the TL023 hazard
-# (worker state that should have propagated back) does not apply.
-def trained_artifacts(profile: RegionProfile = US_EAST_LIKE,  # totolint: disable=TL023
+# cache entry can never diverge from the parent's: no worker state
+# needs to propagate back, and the memo is safe in pool workers.
+def trained_artifacts(profile: RegionProfile = US_EAST_LIKE,
                       training_seed: int = DEFAULT_TRAINING_SEED,
                       training_days: int = 14,
                       disk_corpus_size: int = 1200) -> TrainingArtifacts:

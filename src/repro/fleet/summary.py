@@ -74,7 +74,7 @@ def summarize_result(result: BenchmarkResult) -> ClusterSummary:
     """Reduce one cluster's full result to its fleet summary.
 
     Module-level on purpose: it is the sweep executor's ``reducer`` and
-    must pickle to the pooled workers (TL023's pickle-purity rule).
+    must pickle to the pooled workers, or the sweep runs serially.
     """
     kpis = result.kpis
     revenue = result.revenue
@@ -220,7 +220,6 @@ def merge_frames(summaries: Sequence[ClusterSummary]) -> List[FleetFrame]:
             for hour, bucket in sorted(hours.items())]
 
 
-# totolint: canonical-json
 def fleet_digest(summaries: Sequence[ClusterSummary]) -> str:
     """Canonical content hash of a fleet's summaries.
 

@@ -377,8 +377,7 @@ class TestEngine:
 
     def test_catalogue_is_complete(self):
         assert [rule.code for rule in all_rules()] == [
-            f"TL{n:03d}" for n in range(1, 15)] + ["TL022", "TL023"] + [
-            f"TL{n:03d}" for n in range(30, 35)]
+            f"TL{n:03d}" for n in range(1, 15)] + ["TL022", "TL034"]
         for rule in all_rules():
             assert rule.title and rule.rationale
 
@@ -479,7 +478,7 @@ class TestExitCodes:
 
 class TestRepoIsClean:
     """The determinism contract holds at HEAD, with no suppressions
-    hiding real problems outside the one audited."""
+    hiding real problems outside the analysis package."""
 
     def test_whole_package_lints_clean(self, repo_lint_report):
         # Every rule gates hard with no baseline; the report is the one
@@ -502,9 +501,4 @@ class TestRepoIsClean:
                     suppressions.append(
                         (str(path.relative_to(REPO)),
                          line.split("totolint: ")[1].strip()))
-        # scenarios.py: trained_artifacts' memo is keyed by content and
-        # training is pure, so the TL023 worker-cache hazard does not
-        # apply.
-        assert suppressions == [
-            ("src/repro/experiments/scenarios.py", "disable=TL023"),
-        ], suppressions
+        assert suppressions == [], suppressions

@@ -1,23 +1,27 @@
-"""The numeric-determinism tier (TL030..TL034).
+"""The merge-protocol rule (TL034) and the merge-order contract.
 
-Per-rule fired/silent fixture pairs over fleet-package fixture paths,
-rule selection by code, the repo-wide numeric-clean invariant, the
-repo's merge registry, a seeded pairwise merge the static rule
-catches, and a Hypothesis property pinning the permutation invariance
-the registered helpers promise.
+Fired/silent fixture pairs over fleet-package fixture paths, rule
+selection by code, the repo-wide TL034-clean invariant, the repo's
+merge registry, a seeded pairwise merge the static rule catches, and
+Hypothesis properties pinning the permutation invariance the
+registered helpers promise.
 """
 
 import pathlib
 import random
 from io import StringIO
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ProgramGraph, get_rules, lint_source
 from repro.analysis.cli import EXIT_INTERNAL_ERROR, run_lint
-from repro.analysis.numeric_rules import NUMERIC_TIER
 from repro.analysis.rules import all_rules
+from repro.experiments.fleet import (
+    BackendClusterSummary,
+    backend_digest,
+    merge_backend_summaries,
+)
 from repro.fleet.summary import (
     ClusterSummary,
     FleetFrame,
@@ -29,9 +33,7 @@ from repro.fleet.summary import (
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 
-#: Fixture path inside repro.fleet: the numeric rules' package fallback
-#: treats every node as on the merge/digest path when no program graph
-#: is built.
+#: Fixture path inside repro.fleet.
 FLEET = "src/repro/fleet/example.py"
 
 #: Sequential left-fold over these is 0.0; reversed it is 1.0 — float
@@ -63,169 +65,21 @@ def _summary(index, value, hours=2):
         events_executed=100 + index, frames=frames)
 
 
+def _backend_summary(index, value):
+    """A hand-built BackendClusterSummary, spec-ordered by name."""
+    return BackendClusterSummary(
+        name=f"fleet-x-{index:04d}", seed=1000 + index, density=1.0,
+        reserved_cores=value, disk_gb=value * 2.0,
+        databases_created=10, active_databases=9,
+        creation_redirects=index, failover_count=index % 3,
+        failover_cores=value / 7.0, revenue_adjusted=value * 2.9,
+        events_executed=100 + index)
+
+
 class TestNumericTierRegistration:
-    def test_all_five_rules_registered_as_errors(self):
+    def test_merge_rule_registered_as_an_error(self):
         # Every rule is a hard gate: registering it makes it an error.
-        registered = {rule.code for rule in all_rules()}
-        for code in NUMERIC_TIER:
-            assert code in registered
-
-
-class TestTL030:
-    def test_sum_over_set_literal_fires(self):
-        report = lint_source(
-            "def collect(a, b):\n"
-            "    return sum({a, b})\n",
-            path=FLEET, rules=get_rules(["TL030"]))
-        assert codes(report) == ["TL030"]
-        assert "set literal" in report.violations[0].message
-
-    def test_sum_over_set_call_and_fsum_fire(self):
-        report = lint_source(
-            "import math\n"
-            "def collect(values, pool):\n"
-            "    a = sum(set(values))\n"
-            "    b = math.fsum(pool.values())\n"
-            "    return a + b\n",
-            path=FLEET, rules=get_rules(["TL030"]))
-        assert sorted(codes(report)) == ["TL030", "TL030"]
-
-    def test_generator_over_dict_view_fires(self):
-        report = lint_source(
-            "def collect(totals):\n"
-            "    return sum(value * 2 for value in totals.values())\n",
-            path=FLEET, rules=get_rules(["TL030"]))
-        assert codes(report) == ["TL030"]
-        assert ".values()" in report.violations[0].message
-
-    def test_loop_accumulation_over_dict_view_fires(self):
-        report = lint_source(
-            "def collect(totals):\n"
-            "    acc = 0.0\n"
-            "    for value in totals.values():\n"
-            "        acc += value\n"
-            "    return acc\n",
-            path=FLEET, rules=get_rules(["TL030"]))
-        assert codes(report) == ["TL030"]
-
-    def test_spec_ordered_sequences_are_silent(self):
-        report = lint_source(
-            "def collect(values, totals):\n"
-            "    a = sum(values)\n"
-            "    b = sum(sorted(totals.values()))\n"
-            "    for value in sorted(totals):\n"
-            "        a += totals[value]\n"
-            "    return a + b\n",
-            path=FLEET, rules=get_rules(["TL030"]))
-        assert codes(report) == []
-
-    def test_non_accumulating_loop_over_view_is_silent(self):
-        report = lint_source(
-            "def audit(totals):\n"
-            "    for value in totals.values():\n"
-            "        assert value >= 0\n",
-            path=FLEET, rules=get_rules(["TL030"]))
-        assert codes(report) == []
-
-
-class TestTL031:
-    def test_numpy_reduction_on_merge_path_fires(self):
-        report = lint_source(
-            "import numpy as np\n"
-            "def roll_up(series):\n"
-            "    return float(np.sum(series))\n",
-            path=FLEET, rules=get_rules(["TL031"]))
-        assert codes(report) == ["TL031"]
-        assert "np.sum" in report.violations[0].message
-
-    def test_registered_merge_body_is_tl034s_jurisdiction(self):
-        # Inside a `# totolint: merge-fn` span the numpy reduction is
-        # TL034's finding, not TL031's — one violation per cause.
-        report = lint_source(
-            "import numpy as np\n"
-            "# totolint: merge-fn\n"
-            "def merge_totals(parts):\n"
-            "    return float(np.sum(parts))\n",
-            path=FLEET, rules=get_rules(["TL031"]))
-        assert codes(report) == []
-
-    def test_in_shard_reduction_outside_scope_is_silent(self):
-        report = lint_source(
-            "import numpy as np\n"
-            "def shard_mean(samples):\n"
-            "    return float(np.mean(samples))\n",
-            path="src/repro/models/example.py",
-            rules=get_rules(["TL031"]))
-        assert codes(report) == []
-
-
-class TestTL032:
-    def test_float_equality_fires(self):
-        report = lint_source(
-            "def check(total):\n"
-            "    return total == 0.25\n",
-            path=FLEET, rules=get_rules(["TL032"]))
-        assert codes(report) == ["TL032"]
-        assert "isclose" in report.violations[0].message
-
-    def test_negative_float_inequality_fires(self):
-        report = lint_source(
-            "def check(delta):\n"
-            "    return delta != -1.5\n",
-            path=FLEET, rules=get_rules(["TL032"]))
-        assert codes(report) == ["TL032"]
-
-    def test_float_dict_key_and_set_member_fire(self):
-        report = lint_source(
-            "BUCKETS = {0.5: 'half'}\n"
-            "KNOWN = {1.5, 'label'}\n",
-            path=FLEET, rules=get_rules(["TL032"]))
-        assert sorted(codes(report)) == ["TL032", "TL032"]
-
-    def test_integer_keys_ordering_and_isclose_are_silent(self):
-        report = lint_source(
-            "import math\n"
-            "BUCKETS = {1: 'one'}\n"
-            "def check(total):\n"
-            "    return total <= 0.25 or math.isclose(total, 0.25)\n",
-            path=FLEET, rules=get_rules(["TL032"]))
-        assert codes(report) == []
-
-
-class TestTL033:
-    def test_str_call_in_export_feeder_fires(self):
-        report = lint_source(
-            "import json\n"
-            "def export(value):\n"
-            "    return json.dumps({'v': str(value)})\n",
-            path=FLEET, rules=get_rules(["TL033"]))
-        assert codes(report) == ["TL033"]
-        assert "`str(...)`" in report.violations[0].message
-
-    def test_float_fstring_in_export_feeder_fires(self):
-        report = lint_source(
-            "import json\n"
-            "def export(value):\n"
-            "    label = f'{value:.3f}'\n"
-            "    return json.dumps({'v': label})\n",
-            path=FLEET, rules=get_rules(["TL033"]))
-        assert codes(report) == ["TL033"]
-
-    def test_annotated_canonical_writer_is_exempt(self):
-        report = lint_source(
-            "import json\n"
-            "# totolint: canonical-json\n"
-            "def digest_payload(value):\n"
-            "    return json.dumps({'v': round(value, 6)})\n",
-            path=FLEET, rules=get_rules(["TL033"]))
-        assert codes(report) == []
-
-    def test_rendering_without_an_export_feed_is_silent(self):
-        report = lint_source(
-            "def label(value):\n"
-            "    return f'{value:.3f} cores'\n",
-            path=FLEET, rules=get_rules(["TL033"]))
-        assert codes(report) == []
+        assert "TL034" in {rule.code for rule in all_rules()}
 
 
 class TestTL034:
@@ -290,11 +144,11 @@ class TestSelectIgnore:
 
     def test_unknown_code_is_an_internal_error(self, tmp_path):
         # One unknown code fails the whole selection rather than
-        # linting with the known numeric remainder.
+        # linting with the known remainder.
         agg = tmp_path / "agg.py"
         agg.write_text("def merge_totals(parts):\n    return sum(parts)\n")
         err = StringIO()
-        exit_code = run_lint(paths=[agg], rules="TL030,TL035",
+        exit_code = run_lint(paths=[agg], rules="TL034,TL035",
                              stdout=StringIO(), stderr=err)
         assert exit_code == EXIT_INTERNAL_ERROR
         assert "unknown rule 'TL035'" in err.getvalue()
@@ -304,7 +158,7 @@ class TestRepoNumericState:
     def test_repo_numeric_tier_is_clean_with_no_baseline(
             self, repo_lint_report):
         numeric = [v for v in repo_lint_report.violations
-                   if v.rule in NUMERIC_TIER]
+                   if v.rule == "TL034"]
         assert numeric == [], [
             f"{v.path}:{v.line} {v.rule} {v.message}" for v in numeric]
 
@@ -381,6 +235,32 @@ class TestMergeOrderProperty:
         assert _bits(merge_frames(restored)) \
             == _bits(merge_frames(summaries))
         assert fleet_digest(restored) == fleet_digest(summaries)
+
+    @settings(max_examples=25, deadline=None)
+    @given(values=st.lists(
+        st.floats(min_value=-1e12, max_value=1e12,
+                  allow_nan=False, allow_infinity=False),
+        min_size=2, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(values=DIVERGENT, seed=0)
+    def test_backend_merge_is_shard_permutation_invariant(
+            self, values, seed):
+        # The backend comparison's fold has the same contract as the
+        # fleet merge: restore spec order, then the KPIs and the
+        # per-backend digest match the serial fold bit for bit.
+        summaries = [_backend_summary(index, value)
+                     for index, value in enumerate(values)]
+        shuffled = list(summaries)
+        random.Random(seed).shuffle(shuffled)
+        restored = sorted(shuffled, key=lambda summary: summary.name)
+        kpis = merge_backend_summaries("k8s", restored)
+        assert _bits(kpis) \
+            == _bits(merge_backend_summaries("k8s", summaries))
+        assert backend_digest(restored) == backend_digest(summaries)
+        # ...and the fold is the sequential one, not merely a stable one.
+        assert _bits(kpis.reserved_cores) == _bits(_left_fold(values))
+        assert _bits(kpis.failover_cores) == _bits(_left_fold(
+            [summary.failover_cores for summary in summaries]))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,13 +1,12 @@
-"""TL022 (fleet-scale rescans) and TL023 (pickle-boundary purity).
+"""TL022 (fleet-scale rescans).
 
-Per-rule fired/silent fixture pairs; TL023 runs its program-wide pass
-over small fixture trees written under ``tmp_path``. Also rule
-selection by code and the repo-wide clean invariant for both rules.
+Fired/silent fixture pairs, rule selection by code and the repo-wide
+clean invariant.
 """
 
 from io import StringIO
 
-from repro.analysis import get_rules, lint_paths, lint_source
+from repro.analysis import get_rules, lint_source
 from repro.analysis.cli import EXIT_INTERNAL_ERROR, run_lint
 
 #: Fixture path inside repro.simkernel, one of TL022's package scopes:
@@ -78,65 +77,6 @@ class TestTL022:
         assert codes(report) == []
 
 
-class TestTL023:
-    def test_closure_capturing_sweep_payload_fires(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "experiments/sweep.py":
-                "def launch(pool, scenario):\n"
-                "    return pool.submit(lambda: scenario.run())\n",
-        })
-        report = lint_paths([root], rules=get_rules(["TL023"]))
-        assert codes(report) == ["TL023"]
-        assert "pickle" in report.violations[0].message
-
-    def test_worker_mutating_module_cache_fires(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "experiments/sweep.py":
-                "_CACHE = {}\n"
-                "\n"
-                "def work(item):\n"
-                "    _CACHE[item] = item\n"
-                "    return item\n"
-                "\n"
-                "def run(pool, items):\n"
-                "    return [pool.submit(work, item) for item in items]\n",
-        })
-        report = lint_paths([root], rules=get_rules(["TL023"]))
-        assert codes(report) == ["TL023"]
-        assert "`work()`" in report.violations[0].message
-        assert "`_CACHE`" in report.violations[0].message
-
-    def test_initializer_delivery_is_sanctioned(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "experiments/sweep.py":
-                "_DOCS = {}\n"
-                "\n"
-                "def prime(doc):\n"
-                "    _DOCS['doc'] = doc\n"
-                "\n"
-                "def work(item):\n"
-                "    return _DOCS['doc'], item\n"
-                "\n"
-                "def run(pool, items, doc):\n"
-                "    pool.child(initializer=prime, initargs=(doc,))\n"
-                "    return [pool.submit(work, item) for item in items]\n",
-        })
-        report = lint_paths([root], rules=get_rules(["TL023"]))
-        assert codes(report) == []
-
-    def test_pure_payload_is_silent(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "experiments/sweep.py":
-                "def work(item):\n"
-                "    return item * 2\n"
-                "\n"
-                "def run(pool, items):\n"
-                "    return [pool.submit(work, item) for item in items]\n",
-        })
-        report = lint_paths([root], rules=get_rules(["TL023"]))
-        assert codes(report) == []
-
-
 class TestSelectIgnore:
     """Rule selection by code (``--rules``)."""
 
@@ -156,8 +96,8 @@ class TestRepoPerfState:
     def test_repo_perf_tier_clean_modulo_committed_baseline(
             self, repo_lint_report):
         # No baseline is committed any more, so nothing is excused:
-        # TL022 and TL023 gate hard like every other rule.
+        # TL022 gates hard like every other rule.
         perf = [v for v in repo_lint_report.violations
-                if v.rule in ("TL022", "TL023")]
+                if v.rule == "TL022"]
         assert perf == [], [
             f"{v.path}:{v.line} {v.rule} {v.message}" for v in perf]

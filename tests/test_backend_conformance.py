@@ -135,6 +135,8 @@ class TestFleetMergeConformance:
                                      backend=backend))
         serial = run_fleet(topology, max_workers=1)
         sharded = run_fleet(topology, max_workers=2)
+        # A silent serial fallback would compare serial with serial.
+        assert sharded.mode == "parallel"
         assert serial.digest == sharded.digest
         assert serial.summaries == sharded.summaries
         assert serial.kpis == sharded.kpis

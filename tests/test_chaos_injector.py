@@ -332,7 +332,13 @@ class TestChaosDeterminism:
     def test_serial_and_pool_byte_identical(self):
         scenarios = tiny_chaos_scenarios()
         serial = SweepExecutor(max_workers=1).run(scenarios)
-        pooled = SweepExecutor(max_workers=2).run(scenarios)
+        executor = SweepExecutor(max_workers=2)
+        try:
+            pooled = executor.run(scenarios)
+        finally:
+            executor.shutdown()
+        # A silent serial fallback would compare serial with serial.
+        assert executor.last_mode == "parallel"
         assert digest(serial) == digest(pooled)
 
 

@@ -37,6 +37,8 @@ class TestSerialShardedIdentity:
         serial = run_fleet(topology, max_workers=1)
         sharded = run_fleet(topology, max_workers=2)
         assert serial.mode == "serial"
+        # A silent serial fallback would compare serial with serial.
+        assert sharded.mode == "parallel"
         assert serial.summaries == sharded.summaries
         assert serial.frames == sharded.frames
         assert serial.kpis == sharded.kpis
@@ -53,6 +55,7 @@ class TestSerialShardedIdentity:
                                        densities=(1.0, 1.2))
         serial = run_fleet(topology, max_workers=1)
         sharded = run_fleet(topology, max_workers=2)
+        assert sharded.mode == "parallel"
         assert serial.digest == sharded.digest
         assert [s.density for s in serial.summaries] == [1.0, 1.2, 1.0, 1.2]
 

@@ -241,7 +241,13 @@ class TestObservedRunIsPassive:
         scenarios = [obs_scenario(tiny_document, hours=3, seed=seed)
                      for seed in (11, 12)]
         serial = SweepExecutor(max_workers=1).run(scenarios)
-        pooled = SweepExecutor(max_workers=2).run(scenarios)
+        executor = SweepExecutor(max_workers=2)
+        try:
+            pooled = executor.run(scenarios)
+        finally:
+            executor.shutdown()
+        # A silent serial fallback would compare serial with serial.
+        assert executor.last_mode == "parallel"
         for left, right in zip(serial, pooled):
             assert left.obs == right.obs
             assert left.obs.trace_jsonl == right.obs.trace_jsonl

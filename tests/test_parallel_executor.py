@@ -68,7 +68,13 @@ class TestSerialParallelEquivalence:
         scenarios = [quick_scenario(density=d, seed=s)
                      for d in (1.0, 1.2) for s in (42, 43)]
         serial = run_scenarios(scenarios, max_workers=1)
-        parallel = run_scenarios(scenarios, max_workers=4)
+        executor = SweepExecutor(max_workers=4)
+        try:
+            parallel = executor.run(scenarios)
+        finally:
+            executor.shutdown()
+        # A silent serial fallback would compare serial with serial.
+        assert executor.last_mode == "parallel"
         for a, b in zip(serial, parallel):
             assert a.kpis == b.kpis
             assert a.revenue == b.revenue
