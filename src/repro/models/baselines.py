@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import TrainingError
 from repro.core.hourly_schedule import HourlyNormalSchedule
@@ -39,6 +38,8 @@ class KdeDeltaModel:
             raise TrainingError("KDE needs at least 5 samples")
         if float(data.std()) == 0.0:
             raise TrainingError("KDE undefined for zero-variance data")
+        from scipy import stats as sps  # lazy: simulation runs skip it
+
         self._kde = sps.gaussian_kde(data)
 
     def sample_delta(self, rng: np.random.Generator, timestamp: int) -> float:

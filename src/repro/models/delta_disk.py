@@ -50,6 +50,11 @@ RAPID_SPIKE_SIGMA = 6.0
 #: Minimum paired up/down spikes for the rapid-growth label.
 RAPID_MIN_CYCLES = 2
 
+#: The (day type, hour) training cells, indexed by 24 * weekend + hour.
+_CELLS = tuple((daytype, hour)
+               for daytype in (DayType.WEEKDAY, DayType.WEEKEND)
+               for hour in range(24))
+
 
 def robust_sigma(deltas: np.ndarray) -> float:
     """Noise scale estimate that ignores outliers (1.4826 x MAD)."""
@@ -61,15 +66,21 @@ def robust_sigma(deltas: np.ndarray) -> float:
 
 def label_initial_growth(trace: DiskUsageTrace) -> bool:
     """Apply the 12 GB-in-5-minutes rule to a trace's first period."""
-    deltas = trace.deltas()
+    return _is_initial_growth(trace.deltas())
+
+
+def label_rapid_growth(trace: DiskUsageTrace) -> bool:
+    """Detect the spike-up / spike-down ETL signature (§4.2.4)."""
+    return _is_rapid_growth(trace.deltas())
+
+
+def _is_initial_growth(deltas: np.ndarray) -> bool:
     if deltas.size == 0:
         raise TrainingError("trace too short to label")
     return bool(deltas[0] >= INITIAL_GROWTH_PERIOD_THRESHOLD_GB)
 
 
-def label_rapid_growth(trace: DiskUsageTrace) -> bool:
-    """Detect the spike-up / spike-down ETL signature (§4.2.4)."""
-    deltas = trace.deltas()
+def _is_rapid_growth(deltas: np.ndarray) -> bool:
     if deltas.size < PERIODS_PER_DAY:
         return False
     # Exclude the initial-creation window from spike statistics.
@@ -119,7 +130,8 @@ def build_delta_disk_dataset(traces: List[DiskUsageTrace],
     if not traces:
         raise TrainingError("empty disk corpus")
 
-    steady_by_cell: Dict[Tuple[DayType, int], List[float]] = {}
+    # Steady samples keyed by their index into _CELLS.
+    steady_by_index: Dict[int, List[float]] = {}
     initial_totals: List[float] = []
     rapid_increase: List[float] = []
     rapid_decrease: List[float] = []
@@ -136,8 +148,8 @@ def build_delta_disk_dataset(traces: List[DiskUsageTrace],
     for trace in traces:
         deltas = trace.deltas()
         total_samples += deltas.size
-        is_initial = label_initial_growth(trace)
-        is_rapid = label_rapid_growth(trace)
+        is_initial = _is_initial_growth(deltas)
+        is_rapid = _is_rapid_growth(deltas)
 
         start_index = 0
         if is_initial:
@@ -155,10 +167,10 @@ def build_delta_disk_dataset(traces: List[DiskUsageTrace],
             special_samples += spikes
             # Non-spike periods still train the steady model.
             _collect_steady(body, start_index, start_weekday,
-                            steady_by_cell, exclude_spikes=True)
+                            steady_by_index, exclude_spikes=True)
         else:
             _collect_steady(body, start_index, start_weekday,
-                            steady_by_cell, exclude_spikes=False)
+                            steady_by_index, exclude_spikes=False)
 
     n_databases = len(traces)
     state_periods = {
@@ -167,7 +179,8 @@ def build_delta_disk_dataset(traces: List[DiskUsageTrace],
         for key in state_period_sums
     }
     return DeltaDiskDataset(
-        steady_by_cell=steady_by_cell,
+        steady_by_cell={_CELLS[index]: samples
+                        for index, samples in steady_by_index.items()},
         initial_totals=initial_totals,
         initial_probability=initial_dbs / n_databases,
         rapid_increase=rapid_increase,
@@ -180,24 +193,35 @@ def build_delta_disk_dataset(traces: List[DiskUsageTrace],
 
 def _collect_steady(deltas: np.ndarray, offset_periods: int,
                     start_weekday: int,
-                    steady_by_cell: Dict[Tuple[DayType, int], List[float]],
+                    steady_by_index: Dict[int, List[float]],
                     exclude_spikes: bool) -> None:
-    """Append steady samples into their (day type, hour) cells."""
-    if deltas.size == 0:
-        return
-    threshold = None
+    """Append steady samples into their (day type, hour) cells.
+
+    The stable sort keeps each cell's samples in period order, and new
+    cells are inserted in order of their first sample, as appending
+    sample by sample would: the fitted sums depend on both orders.
+    """
+    periods = offset_periods + np.arange(deltas.size)
     if exclude_spikes:
         sigma = robust_sigma(deltas)
-        threshold = RAPID_SPIKE_SIGMA * sigma if sigma > 0 else None
-    for index, delta in enumerate(deltas):
-        if threshold is not None and abs(float(delta)) > threshold:
-            continue
-        period = offset_periods + index
-        hour = (period // PERIODS_PER_HOUR) % 24
-        day = period // PERIODS_PER_DAY
-        daytype = (DayType.WEEKEND if (start_weekday + day) % 7 >= 5
-                   else DayType.WEEKDAY)
-        steady_by_cell.setdefault((daytype, hour), []).append(float(delta))
+        if sigma > 0:
+            # Negated so a NaN delta, which compares False, is kept.
+            keep = ~(np.abs(deltas) > RAPID_SPIKE_SIGMA * sigma)
+            deltas, periods = deltas[keep], periods[keep]
+    hours = (periods // PERIODS_PER_HOUR) % 24
+    weekend = (start_weekday + periods // PERIODS_PER_DAY) % 7 >= 5
+    cells = weekend * 24 + hours
+    order = np.argsort(cells, kind="stable")
+    sorted_cells = cells[order]
+    starts = np.flatnonzero(np.diff(sorted_cells, prepend=-1))
+    ends = np.append(starts[1:], cells.size)
+    values = deltas[order].tolist()
+    groups = list(zip(sorted_cells[starts].tolist(), starts.tolist(),
+                      ends.tolist()))
+    # order[starts] is each cell's first sample, as the sort is stable.
+    for group in np.argsort(order[starts]).tolist():
+        cell, start, end = groups[group]
+        steady_by_index.setdefault(cell, []).extend(values[start:end])
 
 
 def _extract_rapid(deltas: np.ndarray, increases: List[float],

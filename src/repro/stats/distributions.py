@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import TrainingError
 
@@ -70,6 +69,8 @@ class NormalDistribution(FittedDistribution):
     def log_likelihood(self, sample: Sequence[float]) -> float:
         data = _as_array(sample)
         sigma = max(self.sigma, 1e-9)
+        from scipy import stats as sps  # lazy: simulation runs skip it
+
         return float(np.sum(sps.norm.logpdf(data, loc=self.mu, scale=sigma)))
 
     @property
@@ -136,6 +137,8 @@ class PoissonDistribution(FittedDistribution):
         data = np.round(_as_array(sample))
         if (data < 0).any():
             return float("-inf")
+        from scipy import stats as sps
+
         return float(np.sum(sps.poisson.logpmf(data, mu=self.lam)))
 
     @property
@@ -177,6 +180,8 @@ class NegativeBinomialDistribution(FittedDistribution):
         data = np.round(_as_array(sample))
         if (data < 0).any():
             return float("-inf")
+        from scipy import stats as sps
+
         return float(np.sum(sps.nbinom.logpmf(data, self.n, self.p)))
 
     @property

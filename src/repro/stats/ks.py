@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import TrainingError
 
@@ -45,6 +44,8 @@ def ks_normality_test(sample: Sequence[float]) -> KsTestResult:
     sigma = float(data.std(ddof=1))
     if sigma == 0.0:
         raise TrainingError("K-S test undefined for zero-variance sample")
+    from scipy import stats as sps  # lazy: simulation runs skip it
+
     statistic, p_value = sps.kstest(data, "norm",
                                     args=(float(data.mean()), sigma))
     return KsTestResult(statistic=float(statistic), p_value=float(p_value),

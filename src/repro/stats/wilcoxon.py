@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import TrainingError
 
@@ -51,6 +50,8 @@ def wilcoxon_signed_rank(sample_a: Sequence[float],
     differences = a - b
     if np.all(differences == 0):
         return WilcoxonResult(statistic=0.0, p_value=1.0, n_pairs=int(a.size))
+    from scipy import stats as sps  # lazy: simulation runs skip it
+
     statistic, p_value = sps.wilcoxon(a, b, zero_method="wilcox")
     return WilcoxonResult(statistic=float(statistic), p_value=float(p_value),
                           n_pairs=int(a.size))

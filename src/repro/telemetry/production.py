@@ -103,6 +103,28 @@ class UtilizationSample:
     idle: bool
 
 
+def _floored_cumsum(start: float, deltas: np.ndarray,
+                    floor: float) -> np.ndarray:
+    """The left fold ``u[p + 1] = max(u[p] + deltas[p], floor)``.
+
+    ``np.add.accumulate`` adds strictly in order, so every stretch above
+    the floor matches the scalar fold bit for bit; at the first sample
+    below the floor the fold is clamped and restarted from there.
+    """
+    usage = np.empty(deltas.size + 1)
+    usage[0] = start
+    usage[1:] = deltas
+    begin = 0
+    while True:
+        usage[begin:] = np.add.accumulate(usage[begin:])
+        below = np.flatnonzero(usage[begin + 1:] < floor)
+        if below.size == 0:
+            return usage
+        begin += 1 + int(below[0])
+        usage[begin] = floor
+        usage[begin + 1:] = deltas[begin:]
+
+
 class ProductionTraceGenerator:
     """Emits the synthetic production corpus for one region."""
 
@@ -110,6 +132,7 @@ class ProductionTraceGenerator:
                  rng: np.random.Generator) -> None:
         self.profile = profile
         self._rng = rng
+        self._delta_mu_tables: Dict[float, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Create/drop event traces (Figures 6 and 8)
@@ -171,8 +194,6 @@ class ProductionTraceGenerator:
                                     profile.gp_start_log_sigma),
                 0.5, 2048.0))
             delta_scale = 1.0
-        usage = np.empty(n_periods + 1)
-        usage[0] = start_gb
 
         rapid_cycle = None
         if pattern == "rapid":
@@ -197,20 +218,38 @@ class ProductionTraceGenerator:
         # Restores are front-loaded: 60% of the growth lands in the
         # first 20-minute period, the rest in the second.
         initial_shares = (0.6, 0.4)
-        for period in range(n_periods):
-            hour = (period // PERIODS_PER_HOUR) % 24
-            weekend = (start_weekday + period // PERIODS_PER_DAY) % 7 >= 5
-            mu = profile.disk_delta_mu(weekend, hour) * delta_scale
-            delta = float(self._rng.normal(
-                mu, profile.disk_delta_sigma * delta_scale))
-            if pattern == "initial" and period < len(initial_shares):
-                delta += initial_total * initial_shares[period]
-            if rapid_cycle is not None:
-                delta += self._rapid_delta(rapid_cycle, period)
-            usage[period + 1] = max(usage[period] + delta, 0.1)
+        periods = np.arange(n_periods)
+        hours = (periods // PERIODS_PER_HOUR) % 24
+        weekends = (start_weekday + periods // PERIODS_PER_DAY) % 7 >= 5
+        mus = self._delta_mu_table(delta_scale)[weekends.astype(int), hours]
+        # One array-loc draw advances the generator exactly as one
+        # scalar normal() per period does (the BatchedStream rule).
+        deltas = self._rng.normal(mus, profile.disk_delta_sigma * delta_scale)
+        if pattern == "initial":
+            for period, share in enumerate(initial_shares[:n_periods]):
+                deltas[period] += initial_total * share
+        if rapid_cycle is not None:
+            deltas += [self._rapid_delta(rapid_cycle, period)
+                       for period in range(n_periods)]
+        usage = _floored_cumsum(start_gb, deltas, floor=0.1)
         return DiskUsageTrace(db_index=db_index, edition=edition,
-                              usage_gb=tuple(float(x) for x in usage),
+                              usage_gb=tuple(usage.tolist()),
                               pattern=pattern)
+
+    def _delta_mu_table(self, delta_scale: float) -> np.ndarray:
+        """``disk_delta_mu(weekend, hour) * delta_scale`` as a 2x24 table.
+
+        Built from the scalar profile method, so every entry is the
+        float the per-period computation would produce.
+        """
+        table = self._delta_mu_tables.get(delta_scale)
+        if table is None:
+            table = np.array([
+                [self.profile.disk_delta_mu(weekend, hour) * delta_scale
+                 for hour in range(24)]
+                for weekend in (False, True)])
+            self._delta_mu_tables[delta_scale] = table
+        return table
 
     def disk_corpus(self, n_databases: int = 400, days: int = 14,
                     start_weekday: int = 0,

@@ -1,8 +1,35 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
+
+_SCIPY_PROBE = """\
+import sys
+import repro.cli
+from repro.core.runner import run_scenario
+from repro.experiments.scenarios import paper_scenario, trained_artifacts
+trained_artifacts()
+run_scenario(paper_scenario(days=1 / 24))
+assert "scipy" not in sys.modules
+"""
+
+
+class TestSimulationPathImports:
+    def test_setup_and_run_never_import_scipy(self):
+        """scipy serves only the statistics helpers and the validation
+        studies; training and a simulated run must not pay its import."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(REPO / "src")}, check=False)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:

@@ -1,5 +1,8 @@
 """Tests for the §4 training pipeline."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,33 @@ from repro.models.training import (
 )
 from repro.core.selectors import ALL_PREMIUM_BC
 from repro.sqldb.editions import Edition
-from repro.telemetry.production import ProductionTraceGenerator
+from repro.telemetry.production import (
+    PERIODS_PER_DAY,
+    DiskUsageTrace,
+    ProductionTraceGenerator,
+)
 from repro.telemetry.region import US_EAST_LIKE
+
+
+def _corpus_sha256(traces):
+    """Digest of every trace's index, edition, pattern and usage."""
+    digest = hashlib.sha256()
+    for trace in traces:
+        digest.update(f"{trace.db_index}|{trace.edition.value}|"
+                      f"{trace.pattern}|{trace.usage_gb!r}\n".encode())
+    return digest.hexdigest()
+
+
+def _datasets_sha256(datasets):
+    """Digest of every field of each edition's dataset; the reprs keep
+    ``steady_by_cell`` in key order and each cell in list order."""
+    digest = hashlib.sha256()
+    for edition, dataset in datasets.items():
+        digest.update(f"{edition.value}\n".encode())
+        for field in dataclasses.fields(dataset):
+            digest.update(
+                f"{field.name}={getattr(dataset, field.name)!r}\n".encode())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +156,18 @@ class TestDeltaDiskLabeling:
         dataset = build_delta_disk_dataset(disk_corpus)
         assert dataset.steady_fraction > 0.98  # paper reports ~99.8%
 
+    def test_cells_keyed_in_order_of_first_sample(self):
+        """A Saturday start puts the weekend cells first: cells are
+        inserted as their first sample arrives."""
+        usage = tuple(10.0 + 0.01 * period
+                      for period in range(7 * PERIODS_PER_DAY + 1))
+        trace = DiskUsageTrace(db_index=0, edition=Edition.STANDARD_GP,
+                               usage_gb=usage, pattern="steady")
+        dataset = build_delta_disk_dataset([trace], start_weekday=5)
+        assert list(dataset.steady_by_cell) == (
+            [(DayType.WEEKEND, hour) for hour in range(24)]
+            + [(DayType.WEEKDAY, hour) for hour in range(24)])
+
     def test_dataset_probabilities_sane(self, disk_corpus):
         dataset = build_delta_disk_dataset(disk_corpus)
         assert 0 < dataset.initial_probability < 0.3
@@ -207,6 +247,45 @@ class TestFullPipeline:
         xml = serialize_model_xml(trained_artifacts().document)
         assert sha256_text(xml) == ("93ae17367eb60b9a3ed8348e428f5f56"
                                     "828e64727a6616cc34b9785037c3ae8a")
+
+    def test_default_corpus_sha256_is_pinned(self):
+        """The Figure 9 study and the CLI's dataset summary read the
+        trained corpus directly, not through the serialized document."""
+        from repro.experiments.scenarios import trained_artifacts
+        assert _corpus_sha256(trained_artifacts().disk_traces) == (
+            "e22f3a8267cecb83e276ce694e7cc0b1"
+            "11051e6a441088fa93477f6a593b8fae")
+
+    def test_default_datasets_sha256_is_pinned(self):
+        from repro.experiments.scenarios import trained_artifacts
+        assert _datasets_sha256(trained_artifacts().datasets) == (
+            "2d171fc20e05246a47657f52cc581177"
+            "c568af816256ac850131d08e70ed338c")
+
+    def test_floor_path_corpus_and_datasets_are_pinned(self):
+        """A shrinking profile whose traces hit the 0.1 GB usage floor
+        (the default corpus never does), with initial and rapid traces
+        in both editions."""
+        profile = dataclasses.replace(
+            US_EAST_LIKE, disk_delta_base=-0.5, disk_delta_peak=0.2,
+            gp_start_log_mu=0.0, gp_start_log_sigma=0.5)
+        generator = ProductionTraceGenerator(profile,
+                                             np.random.default_rng(7))
+        traces = generator.disk_corpus(n_databases=200, days=7)
+        assert sum(t.usage_gb.count(0.1) for t in traces) == 80560
+        for edition in Edition:
+            for pattern in ("initial", "rapid"):
+                assert sum(1 for t in traces if t.edition is edition
+                           and t.pattern == pattern) >= 2
+        assert _corpus_sha256(traces) == (
+            "4171958ea7c927b546bacf5eb0b98262"
+            "4156838942d45804db8fd9630afd6c4b")
+        datasets = {edition: build_delta_disk_dataset(
+            [t for t in traces if t.edition is edition])
+            for edition in Edition}
+        assert _datasets_sha256(datasets) == (
+            "86be7eb4e9b7c4491b7a2a63975d5b79"
+            "99b9511fe126d37053b617ed36f07d67")
 
     def test_gp_model_not_persisted_bc_persisted(self, tiny_artifacts):
         by_edition = {model.selector.edition: model

@@ -8,6 +8,7 @@ from repro.sqldb.editions import Edition
 from repro.telemetry.production import (
     PERIODS_PER_DAY,
     ProductionTraceGenerator,
+    _floored_cumsum,
 )
 from repro.telemetry.region import EU_WEST_LIKE, US_EAST_LIKE
 
@@ -112,6 +113,18 @@ class TestDiskTraces:
                                           days=1).usage_gb[0]
                      for i in range(40)]
         assert np.median(bc_starts) > 2 * np.median(gp_starts)
+
+    def test_floored_cumsum_matches_the_scalar_fold(self):
+        """Bit-equal to ``u[p + 1] = max(u[p] + d[p], 0.1)``, also
+        through many clamps at the floor."""
+        rng = np.random.default_rng(3)
+        for drift, min_clamps in ((0.05, 0), (-0.05, 10), (-0.5, 100)):
+            deltas = rng.normal(drift, 0.4, size=500)
+            expected = [1.0]
+            for delta in deltas:
+                expected.append(max(expected[-1] + float(delta), 0.1))
+            assert expected.count(0.1) >= min_clamps
+            assert _floored_cumsum(1.0, deltas, 0.1).tolist() == expected
 
     def test_corpus_pattern_split(self, generator):
         corpus = generator.disk_corpus(n_databases=300, days=2)
