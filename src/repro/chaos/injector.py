@@ -118,8 +118,11 @@ class FaultInjector(NamingFaultGate):
         self.telemetry = ChaosTelemetry()
         self._jitter_rng = rng_registry.stream("chaos", "backoff-jitter")
         self._target_rng = rng_registry.stream("chaos", "target-pick")
-        self._windows: Dict[FaultKind, List[Window]] = {
-            kind: [] for kind in FaultKind}
+        #: Windows per kind, keyed by the member's ``_value_`` string:
+        #: the gates look their kind up on every RPC, and a str key
+        #: hashes in C where ``Enum.__hash__`` runs in Python.
+        self._windows: Dict[str, List[Window]] = {
+            kind._value_: [] for kind in FaultKind}
         self._started = False
         self._finished = False
         self._stale_depth = 0
@@ -155,7 +158,7 @@ class FaultInjector(NamingFaultGate):
             if spec.kind is FaultKind.NODE_CRASH and target is None:
                 target = int(self._target_rng.integers(
                     self.ring.cluster.node_count))
-            self._windows[spec.kind].append((start, end, target))
+            self._windows[spec.kind._value_].append((start, end, target))
             self.kernel.schedule_oneshot(
                 start, lambda s=spec, t=target, e=end: self._activate(s, t, e),
                 label=f"chaos-{spec.kind.value}")
@@ -226,7 +229,7 @@ class FaultInjector(NamingFaultGate):
         A window with ``target=None`` applies to every node; a caller
         passing ``target=None`` matches any window of the kind.
         """
-        for start, end, window_target in self._windows[kind]:
+        for start, end, window_target in self._windows[kind._value_]:
             if not start <= when < end:
                 continue
             if window_target is None or target is None \

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,9 +21,12 @@ from repro.core.selectors import DatabaseSelector
 from repro.sqldb.database import DatabaseInstance
 
 
-@dataclass(frozen=True)
-class ModelContext:
+class ModelContext(NamedTuple):
     """Everything a stateless model may consult to produce one value.
+
+    A named tuple rather than a frozen dataclass: one is built per
+    modeled metric per report RPC, and a tuple is built without the
+    dataclass's per-field ``object.__setattr__`` calls.
 
     Attributes:
         now: current simulation time (seconds).
@@ -88,10 +91,18 @@ class TotoModelSet:
     Lookup picks the *first* model whose metric matches and whose
     selector accepts the database, so more specific models should be
     listed before broad ones in the XML (documented contract).
+
+    Each database's match per metric is bound on first lookup. A
+    selector reads only the database's id and its SLO's fields, so the
+    binding holds while the database keeps the same SLO object; each
+    published model version builds a new set, which starts unbound.
     """
 
     def __init__(self, models: Sequence[ResourceModel] = ()) -> None:
         self._models: List[ResourceModel] = list(models)
+        #: metric -> db_id -> (the SLO object matched against, model).
+        self._bound: Dict[str, Dict[str, Tuple[object,
+                                               Optional[ResourceModel]]]] = {}
 
     @property
     def models(self) -> List[ResourceModel]:
@@ -103,10 +114,22 @@ class TotoModelSet:
     def find(self, metric: str,
              database: DatabaseInstance) -> Optional[ResourceModel]:
         """First model governing ``metric`` for ``database``, if any."""
+        bound = self._bound.get(metric)
+        if bound is None:
+            bound = self._bound[metric] = {}
+        # Any object with a ``db_id`` may be looked up (a custom
+        # service's pods have no SLO); those bind against ``None``.
+        slo = getattr(database, "slo", None)
+        entry = bound.get(database.db_id)
+        if entry is not None and entry[0] is slo:
+            return entry[1]
+        match = None
         for model in self._models:
             if model.metric == metric and model.applies_to(database):
-                return model
-        return None
+                match = model
+                break
+        bound[database.db_id] = (slo, match)
+        return match
 
     def metrics_modeled(self) -> List[str]:
         """Distinct metric names any model governs."""

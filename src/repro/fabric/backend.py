@@ -47,7 +47,13 @@ from repro.fabric.failover import (
     rebuild_seconds,
 )
 from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB
-from repro.fabric.node import Node
+from repro.fabric.node import (
+    CPU_COLUMN,
+    DISK_COLUMN,
+    METRIC_COLUMN,
+    LoadMatrix,
+    Node,
+)
 from repro.fabric.replica import Replica, ReplicaRole
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle is type-only
@@ -78,20 +84,34 @@ class OrchestratorBackend:
     and the bootstrap spill — live here so backends differ only where
     their policies do.
 
-    Concrete backends set ``self._nodes`` (the cluster's live node
-    list), ``self._rng`` (the backend's decision stream),
-    ``self._downtime_rng`` (the shared ``("failover", "downtime")``
-    substream) and ``self.stats`` (a
-    :class:`repro.fabric.plb.PlbStats`) in ``__init__``.
+    Backends read node loads through the cluster's
+    :class:`~repro.fabric.node.LoadMatrix`: every whole-cluster scan is
+    one vectorized pass over it, computing free space with the same
+    ``capacity - load`` subtraction ``Node.free`` does and ordering
+    nodes with ``np.lexsort``, node id last, so each decision is the
+    one a loop over the nodes would make. Concrete backends also set
+    ``self.stats`` (a :class:`repro.fabric.plb.PlbStats`).
+
+    Args:
+        cluster: the cluster facade (its nodes, load matrix and
+            service placements).
+        rng: the backend's decision stream.
+        downtime_rng: the shared ``("failover", "downtime")``
+            substream; defaults to ``rng``.
     """
 
     #: Registry name of the backend (e.g. ``"annealing"``).
     name: str = ""
 
-    _nodes: List[Node]
-    _rng: np.random.Generator
-    _downtime_rng: np.random.Generator
     stats: "PlbStats"
+
+    def __init__(self, cluster: "ClusterView", rng: np.random.Generator,
+                 downtime_rng: Optional[np.random.Generator] = None) -> None:
+        self._cluster = cluster
+        self._nodes: List[Node] = cluster.nodes
+        self._matrix: LoadMatrix = cluster.matrix
+        self._rng = rng
+        self._downtime_rng = downtime_rng if downtime_rng is not None else rng
 
     # ------------------------------------------------------------------
     # Policy surface (implemented by each backend)
@@ -144,22 +164,63 @@ class OrchestratorBackend:
     # Shared mechanics
     # ------------------------------------------------------------------
 
-    def _feasible_nodes(self, service_id: str,
-                        loads: Dict[str, float]) -> List[Node]:
-        """Nodes that could host one more replica of the service."""
-        return [node for node in self._nodes
-                if self._fits(node, loads)
-                and not node.hosts_service(service_id)]
+    def _fit_mask(self, free: np.ndarray,
+                  loads: Dict[str, float]) -> np.ndarray:
+        """Per node: up, and every positive request within its free space.
 
-    def _fits(self, node: Node, loads: Dict[str, float]) -> bool:
-        """Whether a replica with ``loads`` fits within node capacity."""
-        if not node.available:
-            return False
-        for metric in (CPU_CORES, DISK_GB, MEMORY_GB):
+        ``free`` is :meth:`LoadMatrix.free`. The test is written
+        ``~(free < needed)``, not ``free >= needed``, so a NaN cell
+        passes as it does in the scalar ``free < needed`` check.
+        """
+        mask = self._matrix.available.copy()
+        for metric, column in METRIC_COLUMN.items():
             needed = loads.get(metric, 0.0)
-            if needed > 0 and node.free(metric) < needed:
-                return False
-        return True
+            if needed > 0:
+                mask &= ~(free[:, column] < needed)
+        return mask
+
+    def _feasible_nodes(self, service_id: str,
+                        loads: Dict[str, float]) -> np.ndarray:
+        """Ids, ascending, of the nodes that could host one more
+        replica of the service (fit plus anti-affinity)."""
+        mask = self._fit_mask(self._matrix.free(), loads)
+        mask[self._cluster.service_nodes(service_id)] = False
+        return np.flatnonzero(mask)
+
+    def _target_candidates(self, replica: Replica,
+                           source: Node) -> np.ndarray:
+        """Ids, ascending, of the nodes that could receive ``replica``
+        from ``source``."""
+        mask = self._fit_mask(self._matrix.free(), replica.reported)
+        mask[source.node_id] = False
+        mask[self._cluster.service_nodes(replica.service_id)] = False
+        return np.flatnonzero(mask)
+
+    def _make_room_candidates(self, service_id: str,
+                              loads: Dict[str, float]) -> List[int]:
+        """Nodes that only CPU reservations keep from hosting the service.
+
+        Not hosting it, not fitting it, not short of disk or memory
+        (moving replicas off frees only their CPU reservations), and
+        short of CPU; nearest first, i.e. by (CPU shortfall, node id).
+        """
+        free = self._matrix.free()
+        mask = ~self._fit_mask(free, loads)
+        for metric in (DISK_GB, MEMORY_GB):
+            needed = loads.get(metric, 0.0)
+            if needed > 0:
+                mask &= ~(free[:, METRIC_COLUMN[metric]] < needed)
+        shortfall = loads.get(CPU_CORES, 0.0) - free[:, CPU_COLUMN]
+        mask &= shortfall > 0
+        mask[self._cluster.service_nodes(service_id)] = False
+        ids = np.flatnonzero(mask)
+        return ids[np.lexsort((ids, shortfall[ids]))].tolist()
+
+    def _most_free_first(self, ids: np.ndarray, column: int) -> np.ndarray:
+        """``ids`` by free capacity in ``column``, most first, then id."""
+        matrix = self._matrix
+        free = matrix.capacity[ids, column] - matrix.loads[ids, column]
+        return ids[np.lexsort((ids, -free))]
 
     def _move(self, now: int, replica: Replica, source: Node, target: Node,
               metric: str, cluster: "ClusterView",
@@ -242,7 +303,7 @@ class OrchestratorBackend:
         """
         records: List[FailoverRecord] = []
         for _ in range(MAX_SPILL_SWAPS):
-            if len(self._feasible_nodes(service_id, loads)) >= replica_count:
+            if self._feasible_nodes(service_id, loads).size >= replica_count:
                 break
             swap = self._one_spill_swap(now, service_id, loads, cluster)
             if swap is None:
@@ -260,22 +321,24 @@ class OrchestratorBackend:
         replica once their disk is relieved — and donors by free disk
         descending, so the most promising pairs are probed first.
         """
-        needed_cpu = loads.get(CPU_CORES, 0.0)
-        hosts = [node for node in self._nodes
-                 if node.available
-                 and not node.hosts_service(service_id)
-                 and not self._fits(node, loads)
-                 and node.free(CPU_CORES) >= needed_cpu]
-        hosts.sort(key=_free_cpu_order)
-        donors = [node for node in self._nodes if node.available]
-        donors.sort(key=_free_disk_order)
-        for host in hosts[:_SPILL_HOST_SCAN]:
+        matrix = self._matrix
+        free = matrix.free()
+        host_mask = (~self._fit_mask(free, loads) & matrix.available
+                     & (free[:, CPU_COLUMN] >= loads.get(CPU_CORES, 0.0)))
+        host_mask[self._cluster.service_nodes(service_id)] = False
+        hosts = self._most_free_first(np.flatnonzero(host_mask), CPU_COLUMN)
+        donor_ids = self._most_free_first(np.flatnonzero(matrix.available),
+                                          DISK_COLUMN)
+        donors = [self._nodes[node_id]
+                  for node_id in donor_ids[:_SPILL_DONOR_SCAN].tolist()]
+        for host_id in hosts[:_SPILL_HOST_SCAN].tolist():
+            host = self._nodes[host_id]
             outgoing = sorted(
                 (r for r in host.replicas
                  if r.load(DISK_GB) > 0.0),
                 key=_spill_outgoing_order)
             for r_out in outgoing[:_SPILL_REPLICA_SCAN]:
-                for donor in donors[:_SPILL_DONOR_SCAN]:
+                for donor in donors:
                     if donor.node_id == host.node_id:
                         continue
                     if donor.hosts_service(r_out.service_id):
@@ -314,14 +377,6 @@ class OrchestratorBackend:
 # Sort keys (module-level so the spill scan builds no closures)
 # ----------------------------------------------------------------------
 
-def _free_cpu_order(node: Node) -> Tuple[float, int]:
-    return (-node.free(CPU_CORES), node.node_id)
-
-
-def _free_disk_order(node: Node) -> Tuple[float, int]:
-    return (-node.free(DISK_GB), node.node_id)
-
-
 def _spill_outgoing_order(replica: Replica) -> Tuple[float, int]:
     return (-replica.load(DISK_GB), replica.replica_id)
 
@@ -358,17 +413,17 @@ def backend_names() -> Tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-def create_backend(name: str, nodes: Sequence[Node],
+def create_backend(name: str, cluster: "ClusterView",
                    rng: np.random.Generator,
                    use_annealing: bool = True,
                    downtime_rng: np.random.Generator = None
                    ) -> OrchestratorBackend:
-    """Instantiate the backend registered under ``name``."""
+    """Instantiate the backend registered under ``name`` for ``cluster``."""
     _ensure_builtin_backends()
     factory = _BACKENDS.get(name)
     if factory is None:
         raise FabricError(
             f"unknown orchestrator backend '{name}' "
             f"(registered: {', '.join(sorted(_BACKENDS))})")
-    return factory(nodes=nodes, rng=rng, use_annealing=use_annealing,
+    return factory(cluster=cluster, rng=rng, use_annealing=use_annealing,
                    downtime_rng=downtime_rng)

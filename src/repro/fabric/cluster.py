@@ -23,13 +23,14 @@ from repro.fabric.failover import (
     rebuild_seconds,
 )
 from repro.fabric.metrics import (
+    ALL_METRICS,
     CPU_CORES,
     DISK_GB,
     MEMORY_GB,
     NodeCapacities,
 )
 from repro.fabric.naming import NamingService
-from repro.fabric.node import Node, total_capacity, total_load
+from repro.fabric.node import METRIC_COLUMN, LoadMatrix, Node, fold_sum
 from repro.fabric.plb import ClusterView
 from repro.fabric.replica import Replica, ReplicaRole
 
@@ -96,15 +97,19 @@ class ServiceFabricCluster(ClusterView):
                  backend: str = "annealing") -> None:
         if node_count <= 0:
             raise FabricError(f"node_count must be positive, got {node_count}")
-        self.nodes: List[Node] = [Node(node_id, capacities)
+        #: Every node's loads as one node × metric matrix; each node
+        #: writes its own row (docs/ORCHESTRATORS.md, "The load matrix").
+        self.matrix = LoadMatrix([capacities] * node_count)
+        self.nodes: List[Node] = [Node(node_id, capacities,
+                                       row=self.matrix.loads[node_id])
                                   for node_id in range(node_count)]
         self.naming = NamingService()
         self._downtime_rng = downtime_rng if downtime_rng is not None \
             else plb_rng
-        self.plb = create_backend(backend, self.nodes, plb_rng,
+        self._services: Dict[str, ServiceRecord] = {}
+        self.plb = create_backend(backend, self, plb_rng,
                                   use_annealing=use_annealing,
                                   downtime_rng=downtime_rng)
-        self._services: Dict[str, ServiceRecord] = {}
         #: Per-metric totals are static after construction (the node
         #: list and every node's capacities never change), but they are
         #: consulted in every telemetry frame and KPI assembly — so
@@ -163,12 +168,13 @@ class ServiceFabricCluster(ClusterView):
     def total_capacity(self, metric: str) -> float:
         cached = self._capacity_cache.get(metric)
         if cached is None:
-            cached = total_capacity(self.nodes, metric)
+            cached = fold_sum(self.matrix.capacity[:, METRIC_COLUMN[metric]])
             self._capacity_cache[metric] = cached
         return cached
 
     def total_load(self, metric: str) -> float:
-        return total_load(self.nodes, metric)
+        """Sum of every node's ``metric`` load, folded in node order."""
+        return fold_sum(self.matrix.loads[:, METRIC_COLUMN[metric]])
 
     def free_capacity(self, metric: str) -> float:
         return self.total_capacity(metric) - self.total_load(metric)
@@ -309,6 +315,7 @@ class ServiceFabricCluster(ClusterView):
         if not node.available:
             raise FabricError(f"node {node_id} is already down")
         node.available = False
+        self.matrix.available[node_id] = False
         records: List[FailoverRecord] = []
         for replica in list(node.replicas):
             service_id = replica.service_id
@@ -349,6 +356,7 @@ class ServiceFabricCluster(ClusterView):
     def restore_node(self, node_id: int) -> None:
         """Bring a failed node back (empty; the PLB refills it)."""
         self.nodes[node_id].available = True
+        self.matrix.available[node_id] = True
 
     @property
     def pending_replicas(self) -> int:
@@ -410,6 +418,18 @@ class ServiceFabricCluster(ClusterView):
     def replica_count_of(self, service_id: str) -> int:
         return self.service(service_id).replica_count
 
+    def service_nodes(self, service_id: str) -> List[int]:
+        """Ids of the nodes hosting a placed replica of ``service_id``.
+
+        The anti-affinity set of a placement scan: at most four nodes,
+        none for a service not created yet.
+        """
+        record = self._services.get(service_id)
+        if record is None:
+            return []
+        return [replica.node_id for replica in record.replicas
+                if replica.node_id is not None]
+
     def promote_new_primary(self, service_id: str,
                             exclude_replica: int) -> None:
         """Promote a surviving secondary after the primary is moved."""
@@ -446,7 +466,9 @@ class ServiceFabricCluster(ClusterView):
         * every replica is attached to exactly one node,
         * replicas of one service sit on distinct nodes,
         * every multi-replica service has exactly one primary,
-        * node aggregates equal the sum of replica reports.
+        * node aggregates equal the sum of replica reports,
+        * the load matrix holds every node's aggregates bit for bit and
+          its ``available`` mask every node's flag.
         """
         pending_ids = {replica.replica_id
                        for replica, *_ in self._pending}
@@ -470,3 +492,11 @@ class ServiceFabricCluster(ClusterView):
                     raise FabricError(
                         f"node {node.node_id} aggregate {metric} drifted: "
                         f"{node.load(metric)} != {expected}")
+        mirror = np.array([[node.load(metric) for metric in ALL_METRICS]
+                           for node in self.nodes])
+        if mirror.tobytes() != self.matrix.loads.tobytes():
+            raise FabricError("load matrix differs from the node aggregates")
+        flags = np.array([node.available for node in self.nodes])
+        if not np.array_equal(flags, self.matrix.available):
+            raise FabricError("load matrix availability differs from the "
+                              "node flags")

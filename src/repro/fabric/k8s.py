@@ -39,7 +39,7 @@ from repro.errors import NamingUnavailableError, PlacementError
 from repro.fabric.backend import OrchestratorBackend, register_backend
 from repro.fabric.failover import REASON_MAKE_ROOM, FailoverRecord
 from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB, NodeCapacities
-from repro.fabric.node import Node
+from repro.fabric.node import METRIC_COLUMN, Node
 from repro.fabric.plb import (
     MAX_MAKE_ROOM_MOVES,
     MAX_MOVES_PER_SWEEP,
@@ -89,7 +89,7 @@ class KubernetesBackend(OrchestratorBackend):
     """Requests/limits bin-packing with priority preemption.
 
     Args:
-        nodes: the cluster's nodes (shared, live objects).
+        cluster: the cluster facade (nodes, load matrix, placements).
         rng: the backend's decision stream. Accepted for registry
             uniformity but never drawn from — kube-scheduler scoring
             is deterministic.
@@ -100,29 +100,33 @@ class KubernetesBackend(OrchestratorBackend):
 
     name = "k8s"
 
-    def __init__(self, nodes: Sequence[Node], rng: np.random.Generator,
+    def __init__(self, cluster: "ClusterView", rng: np.random.Generator,
                  use_annealing: bool = True,
                  downtime_rng: np.random.Generator = None) -> None:
-        self._nodes = list(nodes)
-        self._rng = rng
-        self._downtime_rng = downtime_rng if downtime_rng is not None else rng
+        super().__init__(cluster, rng, downtime_rng)
         self.stats = PlbStats()
 
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
 
-    def _score(self, node: Node, requests: Dict[str, float]) -> float:
-        """Least-requested score after hypothetically adding ``requests``.
+    def _scores(self, node_ids: np.ndarray,
+                requests: Dict[str, float]) -> np.ndarray:
+        """Least-requested score of each node after adding ``requests``.
 
         Mean free fraction across the scheduled resources, as
         kube-scheduler's ``LeastRequestedPriority`` computes it (up to
-        its ×10 scaling); higher is better, so placements spread.
+        its ×10 scaling); higher is better, so placements spread. The
+        fractions are summed from 0.0 in ``SCHEDULED_METRICS`` order,
+        the arithmetic of a per-node loop, cell for cell.
         """
-        total = 0.0
+        matrix = self._matrix
+        total = np.zeros(node_ids.size)
         for metric in SCHEDULED_METRICS:
-            free = node.free(metric) - requests.get(metric, 0.0)
-            total += free / node.capacities.of(metric)
+            column = METRIC_COLUMN[metric]
+            capacity = matrix.capacity[node_ids, column]
+            free = capacity - matrix.loads[node_ids, column]
+            total = total + (free - requests.get(metric, 0.0)) / capacity
         return total / len(SCHEDULED_METRICS)
 
     # ------------------------------------------------------------------
@@ -134,36 +138,25 @@ class KubernetesBackend(OrchestratorBackend):
         """Filter + score, as the scheduler framework phases them."""
         spec = resource_spec(loads, self._nodes[0].capacities)
         feasible = self._feasible_nodes(service_id, spec.requests)
-        if len(feasible) < replica_count:
+        if feasible.size < replica_count:
             self.stats.placement_failures += 1
             raise PlacementError(
                 f"service {service_id} needs {replica_count} nodes, "
-                f"only {len(feasible)} feasible")
-        scored = sorted(
-            feasible,
-            key=lambda node: (-self._score(node, spec.requests),
-                              node.node_id))
+                f"only {feasible.size} feasible")
+        scores = self._scores(feasible, spec.requests)
+        scored = feasible[np.lexsort((feasible, -scores))]
         self.stats.placements += 1
-        return [node.node_id for node in scored[:replica_count]]
+        return scored[:replica_count].tolist()
 
     def choose_target(self, replica: Replica,
                       source: Node) -> Optional[Node]:
-        """Highest-scoring feasible node for a displaced replica."""
-        best: Optional[Node] = None
-        best_score = 0.0
-        for node in self._nodes:
-            if node.node_id == source.node_id:
-                continue
-            if node.hosts_service(replica.service_id):
-                continue
-            if not self._fits(node, replica.reported):
-                continue
-            score = self._score(node, replica.reported)
-            if best is None or score > best_score or (
-                    score == best_score and node.node_id < best.node_id):
-                best = node
-                best_score = score
-        return best
+        """Highest-scoring feasible node for a displaced replica;
+        ties go to the lowest node id."""
+        candidates = self._target_candidates(replica, source)
+        if candidates.size == 0:
+            return None
+        best = np.argmax(self._scores(candidates, replica.reported))
+        return self._nodes[int(candidates[best])]
 
     # ------------------------------------------------------------------
     # Preemption (make-room)
@@ -182,7 +175,7 @@ class KubernetesBackend(OrchestratorBackend):
         records: List[FailoverRecord] = []
         for _ in range(MAX_MAKE_ROOM_MOVES):
             feasible = self._feasible_nodes(service_id, loads)
-            if len(feasible) >= replica_count:
+            if feasible.size >= replica_count:
                 break
             move = self._preempt_once(now, service_id, loads, cluster)
             if move is None:
@@ -193,28 +186,13 @@ class KubernetesBackend(OrchestratorBackend):
     def _preempt_once(self, now: int, service_id: str,
                       loads: Dict[str, float], cluster: "ClusterView"
                       ) -> Optional[FailoverRecord]:
-        """Evict one replica from the node nearest feasibility."""
-        needed_cpu = loads.get(CPU_CORES, 0.0)
-        needed_disk = loads.get(DISK_GB, 0.0)
-        needed_memory = loads.get(MEMORY_GB, 0.0)
-        candidates: List[Tuple[float, Node]] = []
-        for node in self._nodes:
-            if node.hosts_service(service_id):
-                continue
-            if self._fits(node, loads):
-                continue
-            free = node.free
-            # Preemption frees requests, and only the CPU reservation
-            # is a movable request; skip nodes blocked on disk/memory.
-            if needed_disk > 0 and free(DISK_GB) < needed_disk:
-                continue
-            if needed_memory > 0 and free(MEMORY_GB) < needed_memory:
-                continue
-            shortfall = needed_cpu - free(CPU_CORES)
-            if shortfall > 0:
-                candidates.append((shortfall, node))
-        candidates.sort(key=lambda pair: (pair[0], pair[1].node_id))
-        for _, node in candidates:
+        """Evict one replica from the node nearest feasibility.
+
+        Preemption frees requests, and only the CPU reservation is a
+        movable request, so nodes blocked on disk or memory are skipped.
+        """
+        for node_id in self._make_room_candidates(service_id, loads):
+            node = self._nodes[node_id]
             victims = sorted(
                 (r for r in node.replicas if r.cpu_cores > 0),
                 key=lambda r: self._eviction_order(r, cluster))
@@ -317,6 +295,7 @@ class KubernetesBackend(OrchestratorBackend):
                          key=lambda r: (-r.load(metric), r.replica_id))
         records: List[FailoverRecord] = []
         for victim in ordered:
+            fits = self._fit_mask(self._matrix.free(), victim.reported)
             chosen: Optional[int] = None
             chosen_free = -1.0
             for index, target in enumerate(targets):
@@ -324,7 +303,7 @@ class KubernetesBackend(OrchestratorBackend):
                     continue
                 if target.hosts_service(victim.service_id):
                     continue
-                if not self._fits(target, victim.reported):
+                if not fits[target.node_id]:
                     continue
                 free = target.free(metric)
                 if free > chosen_free:

@@ -4,23 +4,84 @@ Paper §3.1: "Every replica of the application reports their load
 metrics to the PLB where it aggregates a centralized view of the load
 on each node." Aggregates here are maintained incrementally so a
 report costs O(metrics), not O(replicas).
+
+Every node's loads are also mirrored, cell for cell, into one
+cluster-wide :class:`LoadMatrix` (node × :data:`ALL_METRICS`), so a
+placement filter or a target pick is one vectorized pass over the
+cluster instead of a Python loop over its nodes. Only :class:`Node`
+writes the loads it holds; the dict stays the scalar read path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.errors import FabricError
-from repro.fabric.metrics import ALL_METRICS, NodeCapacities
+from repro.fabric.metrics import ALL_METRICS, CPU_CORES, DISK_GB, NodeCapacities
 from repro.fabric.replica import Replica
+
+#: Column of each metric in :attr:`LoadMatrix.loads` and
+#: :attr:`LoadMatrix.capacity` (the order of :data:`ALL_METRICS`).
+METRIC_COLUMN: Dict[str, int] = {metric: column
+                                 for column, metric in enumerate(ALL_METRICS)}
+CPU_COLUMN = METRIC_COLUMN[CPU_CORES]
+DISK_COLUMN = METRIC_COLUMN[DISK_GB]
+
+
+class LoadMatrix:
+    """Every node's loads and capacities as node × metric float64 arrays.
+
+    Row ``i`` belongs to node id ``i``. ``loads`` holds, bit for bit,
+    the floats each :class:`Node` keeps in its scalar aggregates (the
+    node writes both on every change); ``capacity`` is constant;
+    ``available`` mirrors each node's ``available`` flag (written by
+    the cluster's ``fail_node``/``restore_node``). Backends only read.
+    """
+
+    __slots__ = ("loads", "capacity", "available")
+
+    def __init__(self, capacities: Sequence[NodeCapacities]) -> None:
+        self.capacity = np.array([[caps.of(metric) for metric in ALL_METRICS]
+                                  for caps in capacities], dtype=np.float64)
+        self.loads = np.zeros_like(self.capacity)
+        self.available = np.ones(len(capacities), dtype=bool)
+
+    def free(self) -> np.ndarray:
+        """``capacity - loads`` per cell: the subtraction ``Node.free`` does."""
+        return self.capacity - self.loads
+
+
+def fold_sum(values: Sequence[float]) -> float:
+    """Left-to-right float sum from ``0.0``, as CPython 3.10/3.11's ``sum()``.
+
+    ``np.sum`` adds pairwise and Python 3.12's ``sum()`` compensates,
+    so neither reproduces these bits; ``np.add.accumulate`` is a strict
+    left fold. The final ``0.0 +`` turns an all ``-0.0`` fold into the
+    ``0.0`` that ``sum()``'s start value gives.
+    """
+    array = np.asarray(values, dtype=np.float64)
+    if array.size == 0:
+        return 0.0
+    return 0.0 + float(np.add.accumulate(array)[-1])
 
 
 class Node:
-    """One data-plane node: capacities plus hosted replicas."""
+    """One data-plane node: capacities plus hosted replicas.
 
-    def __init__(self, node_id: int, capacities: NodeCapacities) -> None:
+    ``row`` is the node's row of the cluster's :class:`LoadMatrix`
+    (a view); a node built on its own gets a private one.
+    """
+
+    def __init__(self, node_id: int, capacities: NodeCapacities,
+                 row: Optional[np.ndarray] = None) -> None:
         self.node_id = node_id
         self.capacities = capacities
+        #: The row is written through a memoryview of its buffer: on
+        #: the report path an item store costs about half of numpy's.
+        self._row = memoryview(row if row is not None
+                               else np.zeros(len(ALL_METRICS)))
         self._replicas: Dict[int, Replica] = {}
         #: Service ids hosted here. Anti-affinity caps it at one
         #: replica per service, so a set gives O(1) ``hosts_service``
@@ -61,8 +122,12 @@ class Node:
         self._replicas[replica.replica_id] = replica
         self._service_ids.add(replica.service_id)
         replica.node_id = self.node_id
+        aggregates = self._loads
+        row = self._row
         for metric, value in replica.reported.items():
-            self._loads[metric] = self._loads.get(metric, 0.0) + value
+            total = aggregates[metric] + value
+            aggregates[metric] = total
+            row[METRIC_COLUMN[metric]] = total
 
     def detach(self, replica: Replica) -> None:
         """Remove ``replica`` and subtract its loads from the aggregates."""
@@ -72,8 +137,12 @@ class Node:
         del self._replicas[replica.replica_id]
         self._service_ids.discard(replica.service_id)
         replica.node_id = None
+        aggregates = self._loads
+        row = self._row
         for metric, value in replica.reported.items():
-            self._loads[metric] = self._loads.get(metric, 0.0) - value
+            total = aggregates[metric] - value
+            aggregates[metric] = total
+            row[METRIC_COLUMN[metric]] = total
 
     # -- load accounting ----------------------------------------------
 
@@ -83,11 +152,14 @@ class Node:
             raise FabricError(
                 f"replica {replica.replica_id} not on node {self.node_id}")
         reported = replica.reported
+        aggregates = self._loads
+        row = self._row
         for metric, new_value in loads.items():
             old_value = reported.get(metric, 0.0)
             reported[metric] = new_value
-            self._loads[metric] = (self._loads.get(metric, 0.0)
-                                   + new_value - old_value)
+            total = aggregates[metric] + new_value - old_value
+            aggregates[metric] = total
+            row[METRIC_COLUMN[metric]] = total
 
     def load(self, metric: str) -> float:
         """Aggregate load of ``metric`` on this node."""
@@ -110,8 +182,10 @@ class Node:
         loads = {metric: 0.0 for metric in ALL_METRICS}
         for replica in self._replicas.values():
             for metric, value in replica.reported.items():
-                loads[metric] = loads.get(metric, 0.0) + value
+                loads[metric] += value
         self._loads = loads
+        for metric, column in METRIC_COLUMN.items():
+            self._row[column] = loads[metric]
 
     def __repr__(self) -> str:
         return (f"Node({self.node_id}, replicas={self.replica_count}, "
@@ -119,13 +193,3 @@ class Node:
                 f"{self.capacities.cpu_cores:.0f}, "
                 f"disk={self.load('disk-gb'):.0f}/"
                 f"{self.capacities.disk_gb:.0f})")
-
-
-def total_load(nodes: Iterable[Node], metric: str) -> float:
-    """Sum of one metric's aggregate load across ``nodes``."""
-    return sum(node.load(metric) for node in nodes)
-
-
-def total_capacity(nodes: Iterable[Node], metric: str) -> float:
-    """Sum of one metric's logical capacity across ``nodes``."""
-    return sum(node.capacities.of(metric) for node in nodes)

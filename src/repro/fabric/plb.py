@@ -13,7 +13,7 @@ Service Fabric's PLB does (§5.2); a greedy mode exists as an ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,13 +21,9 @@ from repro.errors import PlacementError
 from repro.fabric.annealing import anneal
 from repro.fabric.backend import OrchestratorBackend, register_backend
 from repro.fabric.failover import REASON_MAKE_ROOM, FailoverRecord
-from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB
-from repro.fabric.node import Node
+from repro.fabric.metrics import CPU_CORES, DISK_GB
+from repro.fabric.node import CPU_COLUMN, DISK_COLUMN, LoadMatrix, Node, fold_sum
 from repro.fabric.replica import Replica
-
-#: Metrics that cannot be freed by moving CPU reservations; hoisted so
-#: the make-room scan does not rebuild the tuple per node.
-_UNSHEDDABLE_METRICS = (DISK_GB, MEMORY_GB)
 
 #: Hard cap on replica moves per violation sweep, so a cluster that is
 #: globally out of disk cannot spin the balancer forever.
@@ -66,7 +62,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
     it (§5.2), registered as ``"annealing"``.
 
     Args:
-        nodes: the cluster's nodes (shared, live objects).
+        cluster: the cluster facade (nodes, load matrix, placements).
         rng: the PLB's private random stream. The paper could not pin
             this seed across repeated runs; experiments model that by
             deriving it per run unless explicitly pinned.
@@ -81,15 +77,13 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
 
     name = "annealing"
 
-    def __init__(self, nodes: Sequence[Node], rng: np.random.Generator,
+    def __init__(self, cluster: "ClusterView", rng: np.random.Generator,
                  use_annealing: bool = True,
                  anneal_iterations: int = 80,
                  cpu_weight: float = 1.0,
                  disk_weight: float = 0.05,
                  downtime_rng: np.random.Generator = None) -> None:
-        self._nodes = list(nodes)
-        self._rng = rng
-        self._downtime_rng = downtime_rng if downtime_rng is not None else rng
+        super().__init__(cluster, rng, downtime_rng)
         self.use_annealing = use_annealing
         self.anneal_iterations = anneal_iterations
         #: Placement-energy weights. CPU (the reservation metric) is
@@ -117,24 +111,20 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
         exists — the control plane turns that into a creation redirect.
         """
         feasible = self._feasible_nodes(service_id, loads)
-        if len(feasible) < replica_count:
+        if feasible.size < replica_count:
             self.stats.placement_failures += 1
             raise PlacementError(
                 f"service {service_id} needs {replica_count} nodes, "
-                f"only {len(feasible)} feasible")
+                f"only {feasible.size} feasible")
 
         # Greedy seed: spread onto the nodes with the most free CPU.
-        feasible.sort(key=lambda n: (-n.free(CPU_CORES), n.node_id))
-        initial = tuple(node.node_id for node in feasible[:replica_count])
-        if not self.use_annealing or len(feasible) == replica_count:
+        candidate_ids = self._most_free_first(feasible, CPU_COLUMN).tolist()
+        initial = tuple(candidate_ids[:replica_count])
+        if not self.use_annealing or len(candidate_ids) == replica_count:
             self.stats.placements += 1
             return list(initial)
 
-        by_id = {node.node_id: node for node in feasible}
-        candidate_ids = [node.node_id for node in feasible]
-
-        def energy(selection: Tuple[int, ...]) -> float:
-            return self._selection_energy(selection, loads)
+        energy = self._placement_energy(loads)
 
         def neighbour(selection: Tuple[int, ...],
                       rng: np.random.Generator) -> Tuple[int, ...]:
@@ -152,7 +142,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
         self.stats.placements += 1
         selection = list(result.state)  # type: ignore[arg-type]
         assert len(set(selection)) == len(selection)
-        assert all(nid in by_id for nid in selection)
+        assert set(selection) <= set(candidate_ids)
         return selection
 
     def make_room(self, now: int, service_id: str, replica_count: int,
@@ -170,21 +160,13 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
         records: List[FailoverRecord] = []
         for _ in range(MAX_MAKE_ROOM_MOVES):
             feasible = self._feasible_nodes(service_id, loads)
-            if len(feasible) >= replica_count:
+            if feasible.size >= replica_count:
                 break
             move = self._one_make_room_move(now, service_id, loads, cluster)
             if move is None:
                 break
             records.append(move)
         return records
-
-    def _blocked_by_unsheddable(self, node: Node,
-                                loads: Dict[str, float]) -> bool:
-        """Whether disk/memory (not CPU) is what blocks this node."""
-        return any(
-            loads.get(metric, 0.0) > 0
-            and node.free(metric) < loads.get(metric, 0.0)
-            for metric in _UNSHEDDABLE_METRICS)
 
     def _movable_replicas(self, node: Node,
                           shortfall: float) -> List[Replica]:
@@ -201,21 +183,8 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
                             ) -> Optional[FailoverRecord]:
         """Shed one replica from the node closest to hosting the new one."""
         needed_cpu = loads.get(CPU_CORES, 0.0)
-        candidates = []
-        for node in self._nodes:
-            if node.hosts_service(service_id):
-                continue
-            if self._fits(node, loads):
-                continue  # already feasible; nothing to free here
-            # Only CPU can be freed by moving reservations; give up on
-            # nodes blocked by disk or memory.
-            if self._blocked_by_unsheddable(node, loads):
-                continue
-            if needed_cpu - node.free(CPU_CORES) > 0:
-                candidates.append(node)
-        candidates.sort(key=lambda node: (needed_cpu - node.free(CPU_CORES),
-                                          node.node_id))
-        for node in candidates:
+        for node_id in self._make_room_candidates(service_id, loads):
+            node = self._nodes[node_id]
             shortfall = needed_cpu - node.free(CPU_CORES)
             movable = self._movable_replicas(node, shortfall)
             for replica in movable:
@@ -228,24 +197,43 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
                 return record
         return None
 
-    def _selection_energy(self, selection: Tuple[int, ...],
-                          loads: Dict[str, float]) -> float:
-        """Cluster imbalance after hypothetically placing on ``selection``.
+    def _placement_energy(self, loads: Dict[str, float]
+                          ) -> Callable[[Tuple[int, ...]], float]:
+        """The annealing energy of one placement: cluster imbalance
+        after hypothetically placing ``loads`` on a selection of nodes.
 
         Sum of squared per-node utilizations over CPU and disk; squaring
-        penalizes hot nodes, which is what drives load-spreading.
+        penalizes hot nodes, which is what drives load-spreading. Each
+        node's two terms are computed once; a selection recomputes only
+        its own nodes' terms, and the 2N terms are folded in node order
+        (:func:`fold_sum`), the order a loop over the nodes adds them.
+        The terms stay Python float arithmetic: ``x ** 2`` calls libm's
+        ``pow``, which numpy's ``x * x`` does not match bit for bit.
         """
-        chosen = set(selection)
-        energy = 0.0
-        for node in self._nodes:
-            cpu = node.load(CPU_CORES)
-            disk = node.load(DISK_GB)
-            if node.node_id in chosen:
-                cpu += loads.get(CPU_CORES, 0.0)
-                disk += loads.get(DISK_GB, 0.0)
-            energy += self.cpu_weight * (cpu / node.capacities.cpu_cores) ** 2
-            energy += self.disk_weight * (disk / node.capacities.disk_gb) ** 2
+        nodes = self._nodes
+        needed_cpu = loads.get(CPU_CORES, 0.0)
+        needed_disk = loads.get(DISK_GB, 0.0)
+        unplaced = np.array([term for node in nodes
+                             for term in self._energy_terms(
+                                 node, node.load(CPU_CORES),
+                                 node.load(DISK_GB))])
+
+        def energy(selection: Tuple[int, ...]) -> float:
+            terms = unplaced.copy()
+            for node_id in selection:
+                node = nodes[node_id]
+                terms[2 * node_id], terms[2 * node_id + 1] = \
+                    self._energy_terms(node, node.load(CPU_CORES) + needed_cpu,
+                                       node.load(DISK_GB) + needed_disk)
+            return fold_sum(terms)
+
         return energy
+
+    def _energy_terms(self, node: Node, cpu: float,
+                      disk: float) -> Tuple[float, float]:
+        """One node's (CPU, disk) imbalance terms at the given loads."""
+        return (self.cpu_weight * (cpu / node.capacities.cpu_cores) ** 2,
+                self.disk_weight * (disk / node.capacities.disk_gb) ** 2)
 
     # ------------------------------------------------------------------
     # Capacity violations / failovers
@@ -307,30 +295,20 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
     def _choose_target(self, replica: Replica,
                        source: Node) -> Optional[Node]:
         """Best node to receive ``replica`` (least disk-utilized fit)."""
-        candidates = []
-        for node in self._nodes:
-            if node.node_id == source.node_id:
-                continue
-            if node.hosts_service(replica.service_id):
-                continue
-            if not self._fits(node, replica.reported):
-                continue
-            candidates.append(node)
-        if not candidates:
+        candidates = self._target_candidates(replica, source)
+        if candidates.size == 0:
             return None
-        if self.use_annealing and len(candidates) > 1:
+        matrix = self._matrix
+        projected = ((matrix.loads[candidates, DISK_COLUMN]
+                      + replica.load(DISK_GB))
+                     / matrix.capacity[candidates, DISK_COLUMN])
+        if self.use_annealing and candidates.size > 1:
             # Annealing over a single choice degenerates to a softmax-ish
             # randomized pick among the best few targets — keep the top
             # three by projected disk utilization and pick randomly.
-            candidates.sort(key=lambda n: ((n.load(DISK_GB)
-                                            + replica.load(DISK_GB))
-                                           / n.capacities.disk_gb,
-                                           n.node_id))
-            top = candidates[:3]
-            return top[int(self._rng.integers(len(top)))]
-        return min(candidates,
-                   key=lambda n: ((n.load(DISK_GB) + replica.load(DISK_GB))
-                                  / n.capacities.disk_gb, n.node_id))
+            top = candidates[np.lexsort((candidates, projected))][:3]
+            return self._nodes[int(top[int(self._rng.integers(len(top)))])]
+        return self._nodes[int(candidates[np.argmin(projected)])]
 
 class ClusterView:
     """Protocol the PLB needs from the cluster facade.
@@ -338,6 +316,16 @@ class ClusterView:
     Documented as a plain base class (duck typing would do, but the
     explicit contract keeps the dependency direction visible).
     """
+
+    #: The cluster's nodes; ``nodes[i].node_id == i``.
+    nodes: List[Node]
+    #: Their loads, capacities and availability as arrays, row ``i``
+    #: for node ``i``.
+    matrix: LoadMatrix
+
+    def service_nodes(self, service_id: str) -> List[int]:
+        """Ids of the nodes hosting a placed replica of the service."""
+        raise NotImplementedError
 
     def replica_count_of(self, service_id: str) -> int:
         raise NotImplementedError

@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.errors import UnknownDatabaseError
 from repro.fabric.metrics import CPU_CORES, DISK_GB
+from repro.fabric.node import CPU_COLUMN, DISK_COLUMN, fold_sum
 from repro.simkernel import PeriodicProcess, SimulationKernel
 from repro.sqldb.editions import Edition
 from repro.sqldb.tenant_ring import TenantRing
@@ -116,11 +117,14 @@ class TelemetryCollector:
     def _snapshot(self, now: int) -> None:
         cluster = self._ring.cluster
         control_plane = self._ring.control_plane
-        live_nodes = [n for n in cluster.nodes if not n.in_maintenance]
-        maintenance_count = cluster.node_count - len(live_nodes)
+        live = [n.node_id for n in cluster.nodes if not n.in_maintenance]
+        maintenance_count = cluster.node_count - len(live)
 
-        reserved = sum(n.load(CPU_CORES) for n in live_nodes)
-        disk = sum(n.load(DISK_GB) for n in live_nodes)
+        # Folded in node order, so the totals carry the same bits on
+        # every Python version (3.12's ``sum()`` compensates).
+        live_loads = cluster.matrix.loads[live]
+        reserved = fold_sum(live_loads[:, CPU_COLUMN])
+        disk = fold_sum(live_loads[:, DISK_COLUMN])
         # Capacities are static after construction; the cluster memoizes
         # these totals, so the per-frame cost is a dict lookup.
         core_capacity = cluster.total_capacity(CPU_CORES)

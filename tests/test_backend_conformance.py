@@ -12,6 +12,8 @@ comparison digest, and regression-tests the bootstrap spill on the
 640-node seeds that used to strand at the 90% core target.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.runner import BenchmarkRunner, run_scenario
@@ -54,6 +56,29 @@ COMPARISON_DIGESTS = {
 #: Seeds whose 640-node bootstrap used to strand on the 2-core tail
 #: (free CPU and free disk on disjoint nodes) before the spill fix.
 STRANDING_SEEDS = (49, 50, 52, 59)
+
+#: sha256 of each stranding seed's post-bootstrap cluster state
+#: (:func:`post_bootstrap_sha256`): which nodes make-room and the spill
+#: picked, not just that the population landed.
+SPILL_STATE_SHA256 = {
+    49: "ac18d75e5225061e0834938b31152a39acecf483c1e254773b646b17cf092934",
+    50: "f95142f76d9c55a7b756d333dce874c0fae36c712885d3438aeaf832549ed283",
+    52: "92b820e93a709899e3aad9d02348306c760dba81a3cbedc4cf5c87621516831a",
+    59: "bd2c323c01ead20a97fab93ef46fac9dde5d4efba5170d5965531d87b504c288",
+}
+
+
+def post_bootstrap_sha256(cluster):
+    """Every replica's placement and loads, every move, the PLB stats."""
+    digest = hashlib.sha256()
+    for replica in cluster.replicas():  # replica-id order
+        digest.update(repr((replica.replica_id, replica.service_id,
+                            replica.role.value, replica.node_id,
+                            sorted(replica.reported.items()))).encode())
+    for record in cluster.failovers:
+        digest.update(repr(record).encode())
+    digest.update(repr(cluster.plb.stats).encode())
+    return digest.hexdigest()
 
 
 def test_both_backends_are_registered():
@@ -206,3 +231,5 @@ class TestBootstrapSpillRegression:
         ring.cluster.validate_invariants()
         assert ring.control_plane.redirect_count() == 0
         assert ring.cluster.plb.stats.make_room_moves > 0
+        assert post_bootstrap_sha256(ring.cluster) \
+            == SPILL_STATE_SHA256[seed]

@@ -176,3 +176,43 @@ class TestTotoModelSet:
 
     def test_len(self):
         assert len(TotoModelSet([])) == 0
+
+    def test_binding_follows_the_slo_object(self):
+        """A bound match is reused only while the database keeps the
+        SLO object it was matched against."""
+        disk_bc = make_flat_disk_model(Edition.PREMIUM_BC)
+        disk_gp = make_flat_disk_model(Edition.STANDARD_GP)
+        model_set = TotoModelSet([disk_bc, disk_gp])
+        database = make_db("BC_Gen5_2")
+        assert model_set.find(DISK_GB, database) is disk_bc
+        assert model_set.find(DISK_GB, database) is disk_bc
+        database.slo = get_slo("GP_Gen5_2")
+        assert model_set.find(DISK_GB, database) is disk_gp
+        assert model_set.find(MEMORY_GB, database) is None
+
+    def test_bound_lookups_equal_the_first_match_scan(self):
+        """Repeated lookups across databases sharing ids and SLOs return
+        what the first-match scan over the model list returns."""
+        models = [make_flat_disk_model(Edition.PREMIUM_BC, mu=9.0),
+                  make_flat_disk_model(Edition.STANDARD_GP),
+                  MemoryUsageModel(ALL_PREMIUM_BC),
+                  CpuUsageModel(ALL_DATABASES,
+                                HourlyNormalSchedule.constant(0.2, 0.1))]
+        model_set = TotoModelSet(models)
+        databases = [DatabaseInstance(db_id=f"db-{index % 3}",
+                                      slo=get_slo(slo), created_at=0,
+                                      initial_data_gb=1.0)
+                     for index, slo in enumerate(
+                         ["BC_Gen5_2", "GP_Gen5_2", "GP_Gen5_8",
+                          "BC_Gen5_4", "GP_Gen5_2", "BC_Gen5_2"] * 2)]
+        for database in databases:
+            for metric in (DISK_GB, MEMORY_GB, CPU_USED_CORES):
+                expected = next((m for m in models if m.metric == metric
+                                 and m.applies_to(database)), None)
+                assert model_set.find(metric, database) is expected
+
+    def test_model_context_is_a_named_tuple(self):
+        fields = ("now", "interval_seconds", "database", "is_primary",
+                  "previous_value", "rng", "start_weekday")
+        assert ModelContext._fields == fields
+        assert context(make_db()).start_weekday == 0

@@ -10,7 +10,7 @@ from repro.fabric.metrics import (
     MEMORY_GB,
     NodeCapacities,
 )
-from repro.fabric.node import Node, total_capacity, total_load
+from repro.fabric.node import Node
 from repro.fabric.replica import Replica, ReplicaRole
 
 
@@ -147,10 +147,3 @@ class TestCapacityQueries:
         assert not node.violates(DISK_GB)
         node.apply_report(replica, {DISK_GB: 1001.0})
         assert node.violates(DISK_GB)
-
-    def test_totals_helpers(self, node):
-        other = Node(1, node.capacities)
-        node.attach(make_replica(cores=4))
-        other.attach(make_replica(replica_id=2, service="b", cores=6))
-        assert total_load([node, other], CPU_CORES) == 10
-        assert total_capacity([node, other], CPU_CORES) == 64
