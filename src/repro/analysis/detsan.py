@@ -28,6 +28,7 @@ in the hot paths is one ``is None`` test.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +42,11 @@ import repro.rng
 #: ``derive_seed``).
 _PLUMBING_FILES = (repro.rng.__file__, __file__)
 
+#: The directory that holds the ``repro`` package. Sites under it are
+#: recorded relative to it (``repro/sqldb/rgmanager.py``), so a ledger
+#: and its fingerprint do not depend on where the checkout lives.
+_SOURCE_ROOT = os.path.dirname(os.path.dirname(repro.rng.__file__)) + os.sep
+
 #: One ledger entry; the first element is the entry kind:
 #: ``("stream", method, name, file, line)`` — a stream/seed acquisition,
 #: ``("draw", name, method, file, line)``   — one generator method call,
@@ -49,14 +55,21 @@ LedgerEntry = Tuple[Any, ...]
 
 
 def _caller_site() -> Tuple[str, int]:
-    """(file, line) of the nearest caller outside the RNG plumbing."""
+    """(file, line) of the nearest caller outside the RNG plumbing.
+
+    ``file`` is relative to :data:`_SOURCE_ROOT` when the caller lives
+    under it; any other caller keeps its own path.
+    """
     frame: Optional[FrameType] = sys._getframe(1)
     while frame is not None \
             and frame.f_code.co_filename in _PLUMBING_FILES:
         frame = frame.f_back
     if frame is None:  # pragma: no cover - _getframe always has a caller
         return ("<unknown>", 0)
-    return (frame.f_code.co_filename, frame.f_lineno)
+    file = frame.f_code.co_filename
+    if file.startswith(_SOURCE_ROOT):
+        file = file[len(_SOURCE_ROOT):]
+    return (file, frame.f_lineno)
 
 
 class RecordingGenerator:

@@ -8,7 +8,11 @@ used cores as ``utilization x SLO cores``. Like memory, CPU usage is
 non-persisted: it resets when a replica moves.
 
 The model reports under a dedicated advisory metric name so it never
-interferes with the reservation metric the PLB enforces.
+interferes with the reservation metric the PLB enforces. Its values
+feed only RgManager's noisy-neighbor governor
+(:mod:`repro.sqldb.governance`), so a ring samples it only when a
+governor is installed (``cpu_governance_limit > 0``): one batched draw
+per node per sweep (:meth:`CpuUsageModel.utilization_params`).
 """
 
 from __future__ import annotations

@@ -306,22 +306,3 @@ class DensityStudy:
             title="Table 3 — experiment parameters")
         return table2 + "\n\n" + table3
 
-
-_STUDY_CACHE: Dict[Tuple, DensityStudy] = {}
-
-
-def default_density_study(days: float = 6.0, seed: int = 42,
-                          maintenance: bool = True,
-                          max_workers: Optional[int] = None) -> DensityStudy:
-    """Process-wide cached study so every benchmark shares one sweep.
-
-    ``max_workers`` only controls *how* the sweep executes, never what
-    it produces, so it is deliberately not part of the cache key.
-    """
-    key = (days, seed, maintenance)
-    study = _STUDY_CACHE.get(key)
-    if study is None:
-        study = DensityStudy(days=days, seed=seed, maintenance=maintenance,
-                             max_workers=max_workers)
-        _STUDY_CACHE[key] = study
-    return study

@@ -187,15 +187,6 @@ class ServiceFabricCluster(ClusterView):
         """Cluster-wide reported disk usage."""
         return self.total_load(DISK_GB)
 
-    def can_fit_service(self, replica_count: int,
-                        loads: Dict[str, float]) -> bool:
-        """Feasibility probe used by admission control (no side effects)."""
-        feasible = sum(1 for node in self.nodes
-                       if all(node.free(metric) >= needed
-                              for metric, needed in loads.items()
-                              if needed > 0))
-        return feasible >= replica_count
-
     # ------------------------------------------------------------------
     # Service lifecycle
     # ------------------------------------------------------------------

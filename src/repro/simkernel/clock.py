@@ -30,11 +30,6 @@ class SimClock:
         """Hour of day (0-23) at the current time."""
         return (self._now % DAY) // HOUR
 
-    @property
-    def elapsed_hours(self) -> float:
-        """Fractional hours elapsed since time zero."""
-        return self._now / HOUR
-
     def advance_to(self, timestamp: int) -> None:
         """Move the clock forward to ``timestamp``.
 

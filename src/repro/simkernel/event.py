@@ -213,66 +213,6 @@ class EventQueue:
             self._front = 0
         return None
 
-    def pop_before(self, end_time: int) -> Optional[Event]:
-        """Pop the earliest live event strictly before ``end_time``.
-
-        Returns None when the queue is empty or the earliest live event
-        is at or past ``end_time`` (that event stays queued).
-        """
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            i = self._front
-            n = len(bucket)
-            while i < n:
-                entry = bucket[i]
-                i += 1
-                if entry.__class__ is Event:
-                    if entry.callback is None:  # type: ignore[union-attr]
-                        self._cancelled -= 1
-                        self._popped += 1
-                        continue
-                    if time >= end_time:
-                        self._front = i - 1
-                        return None
-                else:
-                    if time >= end_time:
-                        self._front = i - 1
-                        return None
-                    entry = Event(time, -1, entry, "", self)  # type: ignore[arg-type]
-                self._front = i
-                self._popped += 1
-                return entry  # type: ignore[return-value]
-            del buckets[time]
-            heappop(times)
-            self._front = 0
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Return the timestamp of the earliest pending event, or None."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            i = self._front
-            n = len(bucket)
-            while i < n:
-                entry = bucket[i]
-                if entry.__class__ is not Event \
-                        or entry.callback is not None:  # type: ignore[union-attr]
-                    self._front = i
-                    return time
-                i += 1
-                self._cancelled -= 1
-                self._popped += 1
-            del buckets[time]
-            heappop(times)
-            self._front = 0
-        return None
-
     # ------------------------------------------------------------------
 
     def _note_cancelled(self) -> None:

@@ -9,6 +9,9 @@ Implements the service pieces Toto is built into (paper §2-3):
 * :mod:`repro.sqldb.database` — database instances and their lifecycle;
 * :mod:`repro.sqldb.rgmanager` — the per-node resource-governance
   daemon whose metric-report RPC path Toto intercepts;
+* :mod:`repro.sqldb.governance` — its optional noisy-neighbor CPU
+  governor (§3.2, §5.5 future work), off unless a ring sets
+  ``cpu_governance_limit``;
 * :mod:`repro.sqldb.control_plane` — CRUD APIs with admission control
   and creation redirects;
 * :mod:`repro.sqldb.tenant_ring` — one stage cluster wired end to end;
@@ -19,13 +22,7 @@ Implements the service pieces Toto is built into (paper §2-3):
 from repro.sqldb.control_plane import ControlPlane, CreationRedirect
 from repro.sqldb.database import DatabaseInstance
 from repro.sqldb.editions import Edition, StorageKind
-from repro.sqldb.elastic_pool import (
-    ElasticPool,
-    ElasticPoolManager,
-    PoolMember,
-)
 from repro.sqldb.governance import CpuGovernor, GovernanceReport
-from repro.sqldb.region import Region, RegionalCreateOutcome
 from repro.sqldb.population import InitialPopulationSpec, PopulationMix
 from repro.sqldb.rgmanager import RgManager
 from repro.sqldb.slo import SLO_CATALOG, ServiceLevelObjective, get_slo
@@ -38,11 +35,6 @@ __all__ = [
     "DatabaseInstance",
     "Edition",
     "GovernanceReport",
-    "Region",
-    "RegionalCreateOutcome",
-    "ElasticPool",
-    "ElasticPoolManager",
-    "PoolMember",
     "InitialPopulationSpec",
     "PopulationMix",
     "RgManager",

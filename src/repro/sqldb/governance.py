@@ -17,10 +17,11 @@ effectiveness as the reduction in node-over-limit exposure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import SqlDbError
+from repro.fabric.node import fold_sum
 
 
 @dataclass
@@ -87,7 +88,7 @@ class CpuGovernor:
         its raw demand was already lower.
         """
         self.stats.observations += 1
-        total = sum(usage_by_replica.values())
+        total = fold_sum(list(usage_by_replica.values()))
         limit = self.limit_cores
         if total <= limit:
             return dict(usage_by_replica)
@@ -141,6 +142,6 @@ def summarize_governors(governors) -> GovernanceReport:
         observations=observations,
         raw_over_limit_fraction=over / observations if observations else 0.0,
         throttle_events=sum(g.stats.throttle_events for g in governors),
-        throttled_core_hours=sum(g.stats.throttled_core_seconds
-                                 for g in governors) / 3600.0,
+        throttled_core_hours=fold_sum(
+            [g.stats.throttled_core_seconds for g in governors]) / 3600.0,
     )

@@ -23,6 +23,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import ScenarioError
+from repro.fabric.node import fold_sum
 from repro.sqldb.editions import Edition, GP_TEMPDB_BASELINE_GB
 from repro.sqldb.slo import get_slo
 
@@ -234,10 +235,10 @@ def population_summary(orders: List[CreationOrder]) -> Dict[str, float]:
     gp = [o for o in orders if o.edition is Edition.STANDARD_GP]
     bc = [o for o in orders if o.edition is Edition.PREMIUM_BC]
     total_cores = sum(o.reserved_cores for o in orders)
-    local_disk = sum(
+    local_disk = fold_sum([
         o.initial_data_gb * get_slo(o.slo_name).replica_count
         if o.edition is Edition.PREMIUM_BC else GP_TEMPDB_BASELINE_GB
-        for o in orders)
+        for o in orders])
     return {
         "gp_count": len(gp),
         "bc_count": len(bc),

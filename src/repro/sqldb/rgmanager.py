@@ -20,11 +20,17 @@ Persistence semantics (§3.3.2) are implemented exactly as described:
 * persisted metrics store the previous value in the Naming Service;
   only the **primary** executes the model and writes the new value,
   while secondaries merely read and report it.
+
+Advisory CPU usage (``cpu-used-cores``,
+:class:`~repro.core.cpu_model.CpuUsageModel`) never reaches the PLB.
+It is sampled only for the node's noisy-neighbor governor
+(:mod:`repro.sqldb.governance`): once per sweep, and only in a ring
+whose ``cpu_governance_limit`` is positive.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -36,6 +42,9 @@ from repro.fabric.replica import Replica
 from repro.rng import BatchedStream, RngRegistry
 from repro.sqldb.database import DatabaseInstance
 from repro.sqldb.governance import CpuGovernor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from repro.core.cpu_model import CpuUsageModel
 
 #: Metrics a replica re-reports every interval (CPU reservations are
 #: static and never re-reported).
@@ -89,6 +98,8 @@ class RgManager:
         #: set, the advisory modeled CPU usage of every hosted replica
         #: is tracked and throttled node-wide each sweep.
         self.governor: Optional[CpuGovernor] = None
+        #: Last sampled advisory CPU usage per replica (the governor's
+        #: input) and the governor's output.
         self._cpu_usage_raw: Dict[int, float] = {}
         self.cpu_usage_governed: Dict[int, float] = {}
         #: Metric-report RPCs answered from node-local last-known-good
@@ -143,18 +154,12 @@ class RgManager:
     # ------------------------------------------------------------------
 
     def get_metric_loads(self, replica: Replica, database: DatabaseInstance,
-                         now: int, interval_seconds: int,
-                         observe_cpu: bool = True) -> Dict[str, float]:
+                         now: int, interval_seconds: int) -> Dict[str, float]:
         """Answer the replica's metric-report RPC.
 
         Returns the loads the replica should report to the PLB for
         every dynamic metric: model-driven where a model applies,
         otherwise the replica's actual (last reported) load.
-
-        ``observe_cpu=False`` skips the advisory CPU-usage sampling;
-        the caller then owes a :meth:`observe_cpu_usage_batch` for this
-        replica before governance runs (the report sweep batches all of
-        a node's CPU draws into one vectorized call).
         """
         self.rpcs_served += 1
         loads: Dict[str, float] = {}
@@ -169,88 +174,44 @@ class RgManager:
             else:
                 loads[metric] = self._memory_value(
                     model, replica, database, now, interval_seconds, metric)
-        if observe_cpu:
-            self._observe_cpu_usage(replica, database, now, interval_seconds)
         return loads
 
     def observe_cpu_usage_batch(
-            self, replicas: Sequence[Replica],
-            databases: Sequence[DatabaseInstance],
-            now: int, interval_seconds: int) -> None:
-        """Vectorized advisory CPU sampling for one sweep (§3.2).
+            self, reporters: Sequence[Tuple[Replica, DatabaseInstance]],
+            now: int) -> None:
+        """Sample the governor's input for one sweep (§3.2).
 
-        ``replicas``/``databases`` are parallel sequences — every
-        (replica, database) pair that reported from this node this
-        sweep, in report order. All replicas draw from the same
-        per-node CPU substream, so the whole sweep's utilization
-        draws collapse into one masked array-parameter normal call —
-        draw-for-draw identical to the scalar per-RPC path because the
-        per-entry (mu, sigma) sequence and the stream order are both
-        preserved. Models without the batched interface (anything but
-        :class:`~repro.core.cpu_model.CpuUsageModel`) fall back to the
-        scalar path in place, keeping the stream sequence exact.
+        ``reporters`` are the (replica, database) pairs that reported
+        from this node this sweep, in report order. All of them draw
+        from the node's one CPU substream, so the sweep's utilization
+        draws are one masked array-parameter normal call, draw for draw
+        the scalar sequence (:class:`~repro.rng.BatchedStream`). The
+        values never reach the PLB: they feed the node-local governor,
+        which runs once per sweep via :meth:`apply_cpu_governance`.
         """
         if self.model_set is None:
             return
-        batch_replicas: List[Replica] = []
-        batch_databases: List[DatabaseInstance] = []
-        batch_models: List[object] = []
+        sampled: List[Tuple[Replica, DatabaseInstance, CpuUsageModel]] = []
         mus: List[float] = []
         sigmas: List[float] = []
-        cpu_memory = self._metric_memory(CPU_USED_CORES)
-        usage_raw = self._cpu_usage_raw
-
-        def flush() -> None:
-            if not batch_models:
-                return
-            draws = BatchedStream(self._stream(CPU_USED_CORES)).normals(
-                mus, sigmas)
-            for replica, database, model, draw in zip(
-                    batch_replicas, batch_databases, batch_models, draws):
-                value = model.value_from_utilization(
-                    float(draw), replica.is_primary, database)
-                cpu_memory[replica.replica_id] = value
-                usage_raw[replica.replica_id] = value
-            batch_replicas.clear()
-            batch_databases.clear()
-            batch_models.clear()
-            mus.clear()
-            sigmas.clear()
-
-        for replica, database in zip(replicas, databases):
-            model = self.model_set.find(CPU_USED_CORES, database)
+        for replica, database in reporters:
+            # Only CpuUsageModel models the advisory CPU metric.
+            model = cast("Optional[CpuUsageModel]",
+                         self.model_set.find(CPU_USED_CORES, database))
             if model is None:
                 continue
-            if hasattr(model, "utilization_params"):
-                mu, sigma = model.utilization_params(now)
-                batch_replicas.append(replica)
-                batch_databases.append(database)
-                batch_models.append(model)
-                mus.append(mu)
-                sigmas.append(sigma)
-            else:
-                flush()
-                self._observe_cpu_usage(replica, database, now,
-                                        interval_seconds)
-        flush()
-
-    def _observe_cpu_usage(self, replica: Replica,
-                           database: DatabaseInstance, now: int,
-                           interval_seconds: int) -> None:
-        """Sample the advisory CPU-usage model for governance (§3.2).
-
-        The value never reaches the PLB — it feeds the node-local
-        noisy-neighbor governor, which runs once per sweep via
-        :meth:`apply_cpu_governance`.
-        """
-        if self.model_set is None:
+            mu, sigma = model.utilization_params(now)
+            sampled.append((replica, database, model))
+            mus.append(mu)
+            sigmas.append(sigma)
+        if not sampled:
             return
-        model = self.model_set.find(CPU_USED_CORES, database)
-        if model is None:
-            return
-        value = self._memory_value(model, replica, database, now,
-                                   interval_seconds, CPU_USED_CORES)
-        self._cpu_usage_raw[replica.replica_id] = value
+        draws = BatchedStream(self._stream(CPU_USED_CORES)).normals(
+            mus, sigmas)
+        usage = self._cpu_usage_raw
+        for (replica, database, model), draw in zip(sampled, draws):
+            usage[replica.replica_id] = model.value_from_utilization(
+                float(draw), replica.is_primary, database)
 
     def apply_cpu_governance(self, interval_seconds: int) -> None:
         """Run the node's CPU governor over the last sweep's usage."""
@@ -258,12 +219,6 @@ class RgManager:
             return
         self.cpu_usage_governed = self.governor.govern(
             self._cpu_usage_raw, interval_seconds)
-
-    def node_cpu_usage(self, governed: bool = True) -> float:
-        """Total advisory CPU usage on this node (cores)."""
-        source = self.cpu_usage_governed if governed and \
-            self.cpu_usage_governed else self._cpu_usage_raw
-        return float(sum(source.values()))
 
     # ------------------------------------------------------------------
 

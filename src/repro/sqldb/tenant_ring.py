@@ -144,16 +144,16 @@ class TenantRing:
         Mirrors Figure 5: SQL replica -> RgManager RPC -> (Toto models
         or actual) -> report to PLB. After all reports, the PLB fixes
         any disk-capacity violations (failovers).
+
+        Under a CPU governor (``cpu_governance_limit > 0``) the sweep
+        also queues each node's reporters in report order, so
+        RgManager samples the governor's input with one vectorized draw
+        per node; without one, no CPU usage is sampled at all.
         """
         interval = self.config.report_interval
-        # Advisory CPU draws are deferred and batched per node: every
-        # replica on a node shares one CPU substream, so collecting the
-        # sweep's reporters first lets RgManager make a single
-        # vectorized draw per node instead of one scalar numpy call per
-        # replica. Per-node report order is preserved, so the draw
-        # sequence (and thus the run) is byte-identical.
-        cpu_replicas: Dict[int, List[Replica]] = defaultdict(list)
-        cpu_databases: Dict[int, List[DatabaseInstance]] = defaultdict(list)
+        governed = self.config.cpu_governance_limit > 0
+        cpu_reporters: Dict[int, List[Tuple[Replica, DatabaseInstance]]] = \
+            defaultdict(list)
         for record in self.cluster.services():
             database = self.control_plane.database(record.service_id)
             # Primary reports first so persisted metrics are fresh when
@@ -171,16 +171,16 @@ class TenantRing:
                     continue  # metric-report RPC lost to injected fault
                 rgmanager = self.rgmanagers[node_id]
                 loads = rgmanager.get_metric_loads(
-                    replica, database, now, interval, observe_cpu=False)
+                    replica, database, now, interval)
                 self.cluster.report_load(replica, loads)
-                cpu_replicas[node_id].append(replica)
-                cpu_databases[node_id].append(database)
-        for node_id, node_replicas in cpu_replicas.items():
-            self.rgmanagers[node_id].observe_cpu_usage_batch(
-                node_replicas, cpu_databases[node_id], now, interval)
+                if governed:
+                    cpu_reporters[node_id].append((replica, database))
+        for node_id, reporters in cpu_reporters.items():
+            self.rgmanagers[node_id].observe_cpu_usage_batch(reporters, now)
         self.cluster.sweep_violations(now)
-        for rgmanager in self.rgmanagers:
-            rgmanager.apply_cpu_governance(interval)
+        if governed:
+            for rgmanager in self.rgmanagers:
+                rgmanager.apply_cpu_governance(interval)
         self.report_sweeps += 1
 
     def _maintenance_tick(self, now: int) -> None:

@@ -34,10 +34,6 @@ class FittedDistribution:
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_one(self, rng: np.random.Generator) -> float:
-        """Draw a single value as a float."""
-        return float(self.sample(rng, size=1)[0])
-
     def log_likelihood(self, sample: Sequence[float]) -> float:
         raise NotImplementedError
 

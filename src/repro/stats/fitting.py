@@ -11,7 +11,7 @@ AIC ranking reproduces that choice on the synthetic traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import List, Sequence, Tuple, Type
 
 from repro.errors import TrainingError
 from repro.stats.distributions import (
@@ -76,12 +76,3 @@ def fit_best(
 ) -> FittedDistribution:
     """Return the AIC-best fitted distribution for ``sample``."""
     return fit_all_candidates(sample, candidates)[0].distribution
-
-
-def fit_comparison_table(
-    samples: Dict[str, Sequence[float]],
-    candidates: Sequence[Type[FittedDistribution]] = DEFAULT_CANDIDATES,
-) -> Dict[str, List[FitResult]]:
-    """Fit every named sample; used by the model-selection ablation."""
-    return {name: fit_all_candidates(sample, candidates)
-            for name, sample in samples.items()}

@@ -354,6 +354,20 @@ class TestDetSanEndToEnd:
         assert result.events_executed > 0
         assert "OK" in report.format()
 
+    def test_ledger_sites_do_not_depend_on_the_checkout_path(self):
+        """Sites under the package root are recorded as ``repro/...``
+        paths, so two checkouts print the same fingerprint."""
+        from repro.core.runner import run_scenario
+        from repro.experiments.scenarios import paper_scenario
+        recorder = DetSanRecorder()
+        run_scenario(paper_scenario(density=1.1, days=1 / 24.0, seed=11,
+                                    maintenance=False), detsan=recorder)
+        sites = {entry[3] for entry in recorder.entries
+                 if entry[0] in ("stream", "draw")}
+        assert sites
+        assert [site for site in sites
+                if pathlib.PurePath(site).parts[0] != "repro"] == []
+
 
 class TestRepoRegistry:
     """The acceptance criteria on the real tree."""

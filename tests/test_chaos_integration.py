@@ -9,10 +9,16 @@ change in these numbers means either an intentional semantic change
 regression (fix it).
 """
 
+import builtins
+import math
+import random
+import sys
+
 import pytest
 
 from repro.core.runner import run_scenario
 from repro.experiments.scenarios import chaos_scenario, paper_scenario
+from repro.fabric.node import fold_sum
 
 pytestmark = pytest.mark.chaos
 
@@ -113,3 +119,118 @@ class TestChaosAgainstBaseline:
         assert baseline.kpis.chaos is None
         assert baseline.frames[-1].faults_injected_cumulative == 0
         assert baseline.frames[-1].degraded_intervals_cumulative == 0
+
+
+def compensated_sum(iterable, /, start=0):
+    """A pure-Python port of CPython 3.12's ``sum()``.
+
+    3.12 adds exact floats with Neumaier compensation, where 3.10 and
+    3.11 (and :func:`~repro.fabric.node.fold_sum`) fold left. Exact
+    ints and bools keep the integer fast path, an int met on the float
+    path is added uncompensated, and any other type falls back to
+    ``+`` for the rest of the iterable, as in CPython.
+    """
+    for kind, join in ((str, "''"), (bytes, "b''"), (bytearray, "b''")):
+        if isinstance(start, kind):
+            raise TypeError(f"sum() can't sum {kind.__name__} "
+                            f"[use {join}.join(seq) instead]")
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) is int or type(item) is bool:
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif isinstance(item, int):
+                total += float(item)
+            else:
+                result = total + item
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+def golden_view(result):
+    """The pinned quantities of one run, keyed as :data:`GOLDEN`."""
+    kpis, chaos, revenue = result.kpis, result.kpis.chaos, result.revenue
+    view = dict(
+        final_reserved_cores=kpis.final_reserved_cores,
+        final_disk_gb=kpis.final_disk_gb,
+        core_utilization=kpis.core_utilization,
+        disk_utilization=kpis.disk_utilization,
+        creation_redirects=kpis.creation_redirects,
+        active_databases=kpis.active_databases,
+        failover_count=kpis.failovers.count,
+        total_gross=revenue.total_gross,
+        total_penalty=revenue.total_penalty,
+        total_adjusted=revenue.total_adjusted,
+        penalized_databases=revenue.penalized_databases,
+        events_executed=result.events_executed,
+    )
+    for counter in GOLDEN:
+        if counter not in view:
+            view[counter] = getattr(chaos, counter)
+    return view
+
+
+class TestPython312Sum:
+    """The pins hold under Python 3.12's compensated ``sum()``.
+
+    CI runs tier-1 on 3.10 and 3.12, and the pins were recorded on a
+    left-folding ``sum()``. Patching the port over ``builtins.sum``
+    answers the 3.12 question on any interpreter.
+    """
+
+    def test_port_self_check(self):
+        assert compensated_sum([0.1] * 10) == 1.0
+        assert fold_sum([0.1] * 10) == 0.9999999999999999
+        assert compensated_sum([0.1] * 10, 0.5) == 1.5
+        assert compensated_sum([1, 2, True]) == 4
+        assert compensated_sum([[1], [2]], []) == [1, 2]
+        assert math.copysign(1.0, compensated_sum([-0.0], -0.0)) == -1.0
+        with pytest.raises(TypeError):
+            compensated_sum(["a"], "")
+
+    def test_port_matches_this_interpreter(self):
+        """On 3.12+ the port is ``sum()``; before, ``sum()`` folds left."""
+        rng = random.Random(312)
+        for _ in range(200):
+            values = [rng.choice((rng.uniform(-1e6, 1e6), rng.random(),
+                                  rng.randint(-9, 9), -0.0))
+                      for _ in range(rng.randint(0, 30))]
+            expected = (compensated_sum(values) if sys.version_info >= (3, 12)
+                        else fold_sum(values))
+            assert builtins.sum(values) == expected, values
+
+    def test_golden_run_pins_hold(self, monkeypatch):
+        calls = []
+
+        def counted(iterable, /, start=0):
+            calls.append(1)
+            return compensated_sum(iterable, start)
+
+        monkeypatch.setattr(builtins, "sum", counted)
+        result = run_scenario(chaos_scenario("moderate", density=1.1,
+                                             days=0.25))
+        monkeypatch.undo()
+        assert calls, "the run never reached sum()"
+        assert golden_view(result) == GOLDEN

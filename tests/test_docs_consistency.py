@@ -1,11 +1,12 @@
 """Docs-code consistency: the documentation's claims stay true.
 
 These tests keep README/DESIGN/EXPERIMENTS honest as the code evolves:
-every example the README lists exists (and vice versa), every
-benchmark file is indexed in the docs, and the per-experiment index
-references real modules.
+every example the README lists exists (and vice versa) and imports,
+every benchmark file is indexed in the docs, and the per-experiment
+index references real modules.
 """
 
+import importlib.util
 import pathlib
 import re
 
@@ -37,6 +38,18 @@ class TestExamples:
             source = path.read_text()
             assert source.lstrip().startswith(("#!", '"""')), path.name
             assert 'if __name__ == "__main__":' in source, path.name
+
+    @pytest.mark.parametrize(
+        "path", sorted((REPO / "examples").glob("*.py")),
+        ids=lambda path: path.name)
+    def test_example_imports(self, path):
+        """Import the example without calling ``main()``: an example
+        that imports a deleted name fails here. CI runs each one."""
+        spec = importlib.util.spec_from_file_location(
+            f"example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main)
 
 
 class TestBenchmarks:
@@ -299,6 +312,17 @@ class TestOrchestratorDoc:
 
 
 class TestDesignIndex:
+    def test_retired_extensions_not_documented(self):
+        """Elastic pools, the sqldb multi-ring region and the
+        ``can_fit_service`` probe are gone."""
+        docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+                *sorted((REPO / "docs").glob("*.md"))]
+        for path in docs:
+            text = path.read_text()
+            for name in ("elastic_pool", "ElasticPool", "region_routing",
+                         "sqldb/region.py", "can_fit_service"):
+                assert name not in text, f"{path.name} still mentions {name}"
+
     def test_referenced_modules_exist(self):
         for module in re.findall(r"`repro\.([\w.]+)`", DESIGN):
             path = REPO / "src" / "repro" / (module.replace(".", "/"))

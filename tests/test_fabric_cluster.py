@@ -74,13 +74,6 @@ class TestAggregates:
         cluster.create_service("a", 1, 4.0, {}, now=0)
         assert cluster.free_capacity(CPU_CORES) == pytest.approx(16.0)
 
-    def test_can_fit_probe_has_no_side_effects(self):
-        cluster = make_cluster()
-        before = cluster.reserved_cores()
-        assert cluster.can_fit_service(4, {CPU_CORES: 2.0})
-        assert not cluster.can_fit_service(4, {CPU_CORES: 100.0})
-        assert cluster.reserved_cores() == before
-
     def test_total_capacity(self):
         cluster = make_cluster(node_count=3, cpu=32.0)
         assert cluster.total_capacity(CPU_CORES) == 96.0

@@ -61,13 +61,6 @@ class TestEventQueue:
         event.cancel()
         assert queue.pop().label == "keep"
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        event = queue.push(5, lambda: None)
-        queue.push(9, lambda: None)
-        event.cancel()
-        assert queue.peek_time() == 9
-
     def test_empty_pop_returns_none(self):
         assert EventQueue().pop() is None
 
@@ -95,22 +88,6 @@ class TestEventQueue:
         assert event.label == "expensive-label"
         assert event.label == "expensive-label"
         assert calls == [1]         # resolved exactly once
-
-    def test_pop_before_stops_at_end_time(self):
-        queue = EventQueue()
-        queue.push(5, lambda: None, "early")
-        queue.push(20, lambda: None, "late")
-        assert queue.pop_before(10).label == "early"
-        assert queue.pop_before(10) is None
-        assert len(queue) == 1      # the late event stays queued
-        assert queue.pop_before(21).label == "late"
-
-    def test_pop_before_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(5, lambda: None, "cancelled")
-        queue.push(6, lambda: None, "live")
-        first.cancel()
-        assert queue.pop_before(10).label == "live"
 
 
 class TestEventQueueCompaction:
