@@ -5,8 +5,6 @@ weekday/weekend (c, d). Expected features (§4.1.2): hourly patterns,
 more activity on weekdays, and Premium/BC far below Standard/GP.
 """
 
-import numpy as np
-
 from repro.sqldb.editions import Edition
 from benchmarks.conftest import emit
 

@@ -1,16 +1,18 @@
 """Simulation-kernel microbenchmark: raw event throughput.
 
-Measures the event layer in isolation — schedule / heap sift / fire /
-cancel — with trivial callbacks, so the number tracks the kernel's own
-overhead rather than model math. This is the hot path under every
-benchmark run (a six-day density sweep executes hundreds of thousands
-of events), and the number recorded in ``BENCH_perf.json`` guards the
-perf trajectory across PRs.
+Measures the event layer in isolation — schedule / calendar insert /
+fire / cancel — with trivial callbacks, so the number tracks the
+kernel's own overhead rather than model math. Real runs fire few
+events: a paper-steady run (14 nodes, 1.5 days) fires about 2.9k and
+bootstrap-320 about 1.9k, and the kernel is under 1% of either. The
+number recorded in ``BENCH_perf.json`` is a regression floor for the
+kernel, not a measure of end-to-end speed.
 
 The workload mixes the three behaviours real components exhibit:
 periodic self-rescheduling chains (replica report sweeps, model
 refreshes), one-shot events (creates/drops), and cancelled timers
-(stopped processes, maintenance ends) so heap compaction is exercised.
+(stopped processes, maintenance ends), whose debris the calendar
+drops when their instant fires.
 """
 
 import time
@@ -77,13 +79,16 @@ def test_perf_kernel_event_throughput(benchmark):
 
 
 def test_perf_kernel_cancellation_debris_bounded():
-    """Long runs with many cancelled timers don't accumulate dead events."""
+    """Cancelled timers leave the calendar once their instant passes."""
     kernel = SimulationKernel()
     for index in range(500):
         event = kernel.schedule(1_000_000 + index, lambda: None,
                                 label="doomed")
         event.cancel()
-    # Compaction kept the buried-debris count under the threshold even
-    # though none of the cancelled events ever reached the heap top.
-    assert kernel._queue.cancelled_pending < kernel._queue.COMPACT_MIN
     assert kernel.pending_events == 0
+    # The debris stays buried until its bucket fires, then goes with it.
+    kernel.run_until(1_000_000 + 250)
+    assert len(kernel._buckets) == len(kernel._times) == 250
+    kernel.run_until(1_000_000 + 500)
+    assert kernel._buckets == {} and kernel._times == []
+    assert kernel.events_executed == 0

@@ -193,12 +193,12 @@ class NoWallClock(Rule):
                     yield self.violation(
                         context, node,
                         f"wall-clock call `{dotted}()`: simulation code must "
-                        "use the kernel clock (repro.simkernel.clock)")
+                        "use the kernel clock (SimulationKernel.now)")
                 elif len(parts) == 1 and parts[0] in self._BANNED_NAMES:
                     yield self.violation(
                         context, node,
                         f"wall-clock call `{dotted}()`: simulation code must "
-                        "use the kernel clock (repro.simkernel.clock)")
+                        "use the kernel clock (SimulationKernel.now)")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from repro.rng import RngRegistry
 from repro.sqldb.editions import Edition
 from repro.stats.descriptive import BoxplotStats, boxplot_stats
 from repro.telemetry.production import (
-    HourlyEventTrace,
     ProductionTraceGenerator,
     UtilizationSample,
 )

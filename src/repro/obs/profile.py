@@ -51,10 +51,6 @@ class EventProfiler:
         self._stats: Dict[str, _LabelStats] = {}
         self._active: Optional[Tuple[_LabelStats, float]] = None
 
-    @property
-    def has_wall_clock(self) -> bool:
-        return self._clock is not None
-
     # ------------------------------------------------------------------
 
     def begin(self, event: Event, scheduled_at: int) -> None:

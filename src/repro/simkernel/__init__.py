@@ -8,16 +8,13 @@ Population Manager waking at the top of each hour) fires at exactly the
 same simulated instants it would in the real deployment.
 """
 
-from repro.simkernel.clock import SimClock
-from repro.simkernel.event import Event, EventQueue
+from repro.simkernel.event import Event
 from repro.simkernel.kernel import KernelObserver, SimulationKernel
 from repro.simkernel.process import PeriodicProcess
 
 __all__ = [
     "Event",
-    "EventQueue",
     "KernelObserver",
     "PeriodicProcess",
-    "SimClock",
     "SimulationKernel",
 ]

@@ -1,33 +1,47 @@
-"""The simulation kernel: clock + event queue + run loop.
+"""The simulation kernel: the clock, the event calendar and the run loop.
 
-Perf notes (this file is the simulator's hottest code): the run loop
-batch-fires whole same-timestamp buckets of the calendar queue
-(:mod:`repro.simkernel.event`), advancing the clock once per distinct
-instant; scheduling inlines the queue insert and the event allocation.
-A kernel constructed without ``detsan``/``observer`` swaps itself to the
-uninstrumented fast class so the hot path carries no per-call
-instrumentation checks at all — mirroring the module's long-standing
-rule that instrumentation must not slow the unobserved run.
+The calendar keeps one FIFO *bucket* (a plain list) per distinct pending
+timestamp plus a min-heap of those timestamps. Scheduling at an instant
+that already has a bucket is a dict lookup and a list append, and the
+heap holds one entry per distinct instant rather than per event.
+Because a bucket is appended in scheduling order, iterating it front to
+back replays the exact ``(time, sequence)`` order of a per-event heap.
+
+Cancelled events stay in their bucket and are skipped, then dropped with
+it, when the bucket fires; :attr:`SimulationKernel.pending_events`
+counts the live entries on demand. Toto's actors are a few periodic
+daemons (paper §3.3), so a paper-steady run fires about 2.9k events and
+cancels almost none: the calendar needs nothing more.
+
+Perf notes: the bare class inlines the calendar insert and the event
+allocation in every ``schedule*`` body, and ``schedule_oneshot*`` store
+the callback itself as a handle-free entry. A kernel constructed with
+``detsan`` or an ``observer`` swaps itself to :class:`_InstrumentedKernel`,
+so the bare schedule paths carry no instrumentation checks at all.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Union
 
 from repro.errors import SimulationError
-from repro.simkernel.clock import SimClock
-from repro.simkernel.event import Callback, Event, EventQueue, Label
+from repro.simkernel.event import Callback, Event, Label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.analysis.detsan import DetSanRecorder
+
+#: What a calendar bucket holds: cancellable events or handle-free raw
+#: callbacks (see :meth:`SimulationKernel.schedule_oneshot`).
+Entry = Union[Event, Callback]
+
 
 class KernelObserver(Protocol):
     """Passive instrumentation hooks for the kernel's run loop.
 
     An observer (e.g. :class:`repro.obs.session.ObsSession`) watches
     events flow through the kernel: ``event_scheduled`` fires at each
-    schedule site (after the queue push), ``event_begin``/``event_end``
+    schedule site (after the calendar insert), ``event_begin``/``event_end``
     bracket each callback execution. Observers must be pure — they may
     not schedule events, draw RNG, or mutate simulation state; the
     kernel's event count and ordering are identical with or without
@@ -35,7 +49,7 @@ class KernelObserver(Protocol):
     """
 
     def event_scheduled(self, event: Event, now: int) -> None:
-        """Called after ``event`` is pushed, with the scheduling time."""
+        """Called after ``event`` is inserted, with the scheduling time."""
 
     def event_begin(self, event: Event) -> None:
         """Called immediately before ``event.callback()`` runs."""
@@ -45,18 +59,17 @@ class KernelObserver(Protocol):
 
 
 class SimulationKernel:
-    """Drives a discrete-event simulation to completion.
+    """Owns simulated time and the event calendar, and fires events.
 
     Components schedule callbacks with :meth:`schedule` (absolute time)
     or :meth:`schedule_after` (relative delay); :meth:`run_until`
-    executes events in timestamp order, advancing the shared clock.
+    executes events in timestamp order, advancing :attr:`now`.
 
-    The run loop batch-fires whole same-timestamp buckets of the
-    calendar queue: the clock advances once per distinct instant and
-    the bucket is drained with a plain list iterator — which picks up
-    appends made while iterating, so callbacks that schedule further
-    work *at the current instant* join the same batch, reproducing
-    exactly the order the old per-event heap pop produced.
+    The run loop batch-fires whole same-timestamp buckets: the clock
+    advances once per distinct instant and the bucket is drained with a
+    plain list iterator — which picks up appends made while iterating,
+    so callbacks that schedule further work *at the current instant*
+    join the same batch, in exactly per-event heap order.
 
     ``detsan`` optionally attaches the runtime determinism sanitizer
     (:mod:`repro.analysis.detsan`): every scheduling is then appended
@@ -66,24 +79,28 @@ class SimulationKernel:
     kernel pays nothing for instrumentation it does not carry.
     """
 
-    __slots__ = ("clock", "_now", "_queue", "_running", "events_executed",
-                 "_detsan", "_observer")
+    __slots__ = ("_now", "_buckets", "_times", "_seq", "_running",
+                 "events_executed", "_detsan", "_observer")
 
     def __init__(self, start: int = 0,
                  detsan: Optional["DetSanRecorder"] = None,
                  observer: Optional[KernelObserver] = None) -> None:
-        self.clock = SimClock(start)
-        #: Mirror of ``clock._now``: the schedule fast path reads it
-        #: with one attribute hop. The kernel is the only writer of the
-        #: clock, so the two stay in lock-step.
-        self._now = self.clock._now
-        self._queue = EventQueue()
+        if start < 0:
+            raise SimulationError(f"clock cannot start at {start}")
+        self._now = int(start)
+        #: ``_buckets[t]`` holds every pending entry at ``t`` in
+        #: scheduling order; ``_times`` is a min-heap of its keys.
+        self._buckets: Dict[int, List[Entry]] = {}
+        self._times: List[int] = []
+        #: Next sequence number; handle-free entries consume one too,
+        #: so every Event's sequence matches an instrumented run's.
+        self._seq = 0
         self._running = False
         self.events_executed = 0
         self._detsan = detsan
         self._observer = observer
         if detsan is not None or observer is not None:
-            # Same slot layout, instrumentation-aware method bodies.
+            # Same slot layout, instrumentation-aware schedule bodies.
             self.__class__ = _InstrumentedKernel
 
     @property
@@ -93,8 +110,10 @@ class SimulationKernel:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still waiting to fire."""
-        return len(self._queue)
+        """Number of events still waiting to fire (cancelled ones excluded)."""
+        return sum(1 for bucket in self._buckets.values() for entry in bucket
+                   if entry.__class__ is not Event
+                   or entry.callback is not None)  # type: ignore[union-attr]
 
     def schedule(self, time: int, callback: Callback,
                  label: Label = "") -> Event:
@@ -109,15 +128,13 @@ class SimulationKernel:
                 f"cannot schedule '{label}' at {time}, now is {now}")
         if time.__class__ is not int:
             time = int(time)
-        queue = self._queue
-        sequence = queue._seq
-        queue._seq = sequence + 1
-        event = Event(time, sequence, callback, label, queue)
-        buckets = queue._buckets
-        bucket = buckets.get(time)
+        sequence = self._seq
+        self._seq = sequence + 1
+        event = Event(time, sequence, callback, label)
+        bucket = self._buckets.get(time)
         if bucket is None:
-            buckets[time] = [event]
-            heappush(queue._times, time)
+            self._buckets[time] = [event]
+            heappush(self._times, time)
         else:
             bucket.append(event)
         return event
@@ -130,15 +147,13 @@ class SimulationKernel:
         time = self._now + delay
         if time.__class__ is not int:
             time = int(time)
-        queue = self._queue
-        sequence = queue._seq
-        queue._seq = sequence + 1
-        event = Event(time, sequence, callback, label, queue)
-        buckets = queue._buckets
-        bucket = buckets.get(time)
+        sequence = self._seq
+        self._seq = sequence + 1
+        event = Event(time, sequence, callback, label)
+        bucket = self._buckets.get(time)
         if bucket is None:
-            buckets[time] = [event]
-            heappush(queue._times, time)
+            self._buckets[time] = [event]
+            heappush(self._times, time)
         else:
             bucket.append(event)
         return event
@@ -161,13 +176,11 @@ class SimulationKernel:
                 f"cannot schedule '{label}' at {time}, now is {now}")
         if time.__class__ is not int:
             time = int(time)
-        queue = self._queue
-        queue._seq += 1
-        buckets = queue._buckets
-        bucket = buckets.get(time)
+        self._seq += 1
+        bucket = self._buckets.get(time)
         if bucket is None:
-            buckets[time] = [callback]
-            heappush(queue._times, time)
+            self._buckets[time] = [callback]
+            heappush(self._times, time)
         else:
             bucket.append(callback)
 
@@ -179,13 +192,11 @@ class SimulationKernel:
         time = self._now + delay
         if time.__class__ is not int:
             time = int(time)
-        queue = self._queue
-        queue._seq += 1
-        buckets = queue._buckets
-        bucket = buckets.get(time)
+        self._seq += 1
+        bucket = self._buckets.get(time)
         if bucket is None:
-            buckets[time] = [callback]
-            heappush(queue._times, time)
+            self._buckets[time] = [callback]
+            heappush(self._times, time)
         else:
             bucket.append(callback)
 
@@ -195,204 +206,18 @@ class SimulationKernel:
         Events scheduled exactly at ``end_time`` are *not* executed, so
         consecutive ``run_until`` calls partition time into half-open
         intervals ``[start, end)``. The clock always finishes at
-        ``end_time`` even if the queue drains early.
+        ``end_time`` even if the calendar drains early. A callback that
+        raises is consumed (not counted as executed) and the exception
+        propagates; the rest of its bucket fires on the next call.
         """
         if self._running:
             raise SimulationError("run_until is not re-entrant")
-        clock = self.clock
         if end_time < self._now:
             raise SimulationError(
                 f"end_time {end_time} is before now {self._now}")
         self._running = True
-        # Bind hot attributes once; the queue internals (buckets, times
-        # heap, accounting counters) are deliberately mutated in-line
-        # rather than through per-event method calls.
-        queue = self._queue
-        times = queue._times
-        buckets = queue._buckets
-        executed = 0
-        try:
-            while times:
-                time = times[0]
-                if time >= end_time:
-                    break
-                bucket = buckets[time]
-                # Direct store: the heap front is never in the past
-                # (schedule validates against now), so the backwards
-                # check in advance_to is redundant here.
-                clock._now = self._now = time
-                if queue._front:
-                    # Rare: pops consumed a prefix of this bucket before
-                    # the run loop got here; drop it so the iterator
-                    # starts at the live tail.
-                    del bucket[:queue._front]
-                    queue._front = 0
-                dead = 0
-                queue._locked = True
-                try:
-                    for entry in bucket:
-                        if entry.__class__ is Event:
-                            callback = entry.callback
-                            if callback is None:
-                                dead += 1
-                                continue
-                            callback()
-                        else:
-                            # Handle-free one-shot: the entry IS the
-                            # callback (see schedule_oneshot).
-                            entry()
-                except BaseException:
-                    # Recover the position of the failing event so a
-                    # subsequent run resumes from the unfired tail; the
-                    # failing event itself is consumed but not counted
-                    # as executed (matching the old per-pop loop). With
-                    # handle-free entries index() matches by identity;
-                    # if the *same* callback object was one-shot
-                    # scheduled twice at this instant the resume point
-                    # is the first occurrence — exactness is only
-                    # guaranteed for handle-bearing events.
-                    consumed = bucket.index(entry) + 1
-                    executed += consumed - dead - 1
-                    queue._popped += consumed
-                    queue._cancelled -= dead
-                    del bucket[:consumed]
-                    queue._locked = False
-                    if queue._compact_pending:
-                        queue._release()
-                    raise
-                consumed = len(bucket)
-                executed += consumed - dead
-                queue._popped += consumed
-                queue._cancelled -= dead
-                del buckets[time]
-                # The firing bucket is always the heap front: callbacks
-                # can only schedule at >= the current instant, so
-                # times[0] still equals ``time``.
-                heappop(times)
-                queue._locked = False
-                if queue._compact_pending:
-                    queue._release()
-            clock.advance_to(end_time)
-            self._now = end_time
-        finally:
-            self.events_executed += executed
-            self._running = False
-
-    def run_to_completion(self, max_events: int = 10_000_000) -> None:
-        """Execute every pending event (bounded by ``max_events``)."""
-        if self._running:
-            raise SimulationError("run_to_completion is not re-entrant")
-        self._running = True
-        observer = self._observer
-        try:
-            executed = 0
-            while True:
-                event = self._queue.pop()
-                if event is None:
-                    break
-                executed += 1
-                if executed > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; likely a scheduling loop")
-                self.clock.advance_to(event.time)
-                self._now = event.time
-                if observer is None:
-                    event.callback()
-                else:
-                    observer.event_begin(event)
-                    try:
-                        event.callback()
-                    finally:
-                        observer.event_end(event)
-                self.events_executed += 1
-        finally:
-            self._running = False
-
-
-class _InstrumentedKernel(SimulationKernel):
-    """Kernel variant carrying detsan and/or observer instrumentation.
-
-    Selected automatically by :class:`SimulationKernel.__init__`; never
-    instantiated directly. Method bodies match the fast class except
-    for the detsan ledger appends and observer hooks. Keeping the two
-    apart lets the bare kernel's schedule/run loop skip even the
-    ``is None`` tests — instrumented runs (golden replays, observed
-    runs) accept the small overhead by definition.
-    """
-
-    __slots__ = ()
-
-    def schedule(self, time: int, callback: Callback,
-                 label: Label = "") -> Event:
-        now = self._now
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule '{label}' at {time}, now is {now}")
-        if time.__class__ is not int:
-            time = int(time)
-        if self._detsan is not None:
-            self._detsan.record_event(time, label)
-        queue = self._queue
-        sequence = queue._seq
-        queue._seq = sequence + 1
-        event = Event(time, sequence, callback, label, queue)
-        buckets = queue._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [event]
-            heappush(queue._times, time)
-        else:
-            bucket.append(event)
-        if self._observer is not None:
-            self._observer.event_scheduled(event, now)
-        return event
-
-    def schedule_after(self, delay: int, callback: Callback,
-                       label: Label = "") -> Event:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay} for '{label}'")
-        now = self._now
-        time = now + delay
-        if time.__class__ is not int:
-            time = int(time)
-        if self._detsan is not None:
-            self._detsan.record_event(time, label)
-        queue = self._queue
-        sequence = queue._seq
-        queue._seq = sequence + 1
-        event = Event(time, sequence, callback, label, queue)
-        buckets = queue._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [event]
-            heappush(queue._times, time)
-        else:
-            bucket.append(event)
-        if self._observer is not None:
-            self._observer.event_scheduled(event, now)
-        return event
-
-    def schedule_oneshot(self, time: int, callback: Callback,
-                          label: Label = "") -> None:
-        # Instrumented runs keep the full Event path so detsan records,
-        # observer hooks, and labels are preserved verbatim.
-        self.schedule(time, callback, label)
-
-    def schedule_oneshot_after(self, delay: int, callback: Callback,
-                               label: Label = "") -> None:
-        self.schedule_after(delay, callback, label)
-
-    def run_until(self, end_time: int) -> None:
-        if self._running:
-            raise SimulationError("run_until is not re-entrant")
-        clock = self.clock
-        if end_time < self._now:
-            raise SimulationError(
-                f"end_time {end_time} is before now {self._now}")
-        self._running = True
-        queue = self._queue
-        times = queue._times
-        buckets = queue._buckets
+        times = self._times
+        buckets = self._buckets
         observer = self._observer
         executed = 0
         try:
@@ -401,12 +226,10 @@ class _InstrumentedKernel(SimulationKernel):
                 if time >= end_time:
                     break
                 bucket = buckets[time]
-                clock._now = self._now = time
-                if queue._front:
-                    del bucket[:queue._front]
-                    queue._front = 0
+                # The heap front is never in the past: every schedule
+                # path validates against now.
+                self._now = time
                 dead = 0
-                queue._locked = True
                 try:
                     if observer is None:
                         for entry in bucket:
@@ -417,6 +240,8 @@ class _InstrumentedKernel(SimulationKernel):
                                     continue
                                 callback()
                             else:
+                                # Handle-free one-shot: the entry IS the
+                                # callback (see schedule_oneshot).
                                 entry()
                     else:
                         for entry in bucket:
@@ -432,26 +257,65 @@ class _InstrumentedKernel(SimulationKernel):
                             finally:
                                 observer.event_end(entry)
                 except BaseException:
+                    # Drop the fired prefix, the failing entry included,
+                    # so the next run resumes at the unfired tail. With
+                    # handle-free entries index() matches by identity:
+                    # if the *same* callback object was one-shot
+                    # scheduled twice at this instant the resume point
+                    # is the first occurrence — exactness is only
+                    # guaranteed for handle-bearing events.
                     consumed = bucket.index(entry) + 1
                     executed += consumed - dead - 1
-                    queue._popped += consumed
-                    queue._cancelled -= dead
                     del bucket[:consumed]
-                    queue._locked = False
-                    if queue._compact_pending:
-                        queue._release()
                     raise
-                consumed = len(bucket)
-                executed += consumed - dead
-                queue._popped += consumed
-                queue._cancelled -= dead
+                executed += len(bucket) - dead
                 del buckets[time]
+                # The firing bucket is always the heap front: callbacks
+                # can only schedule at >= the current instant.
                 heappop(times)
-                queue._locked = False
-                if queue._compact_pending:
-                    queue._release()
-            clock.advance_to(end_time)
             self._now = end_time
         finally:
             self.events_executed += executed
             self._running = False
+
+
+class _InstrumentedKernel(SimulationKernel):
+    """Kernel variant carrying detsan and/or observer instrumentation.
+
+    Selected automatically by :class:`SimulationKernel.__init__`; never
+    instantiated directly. Each schedule path runs the bare insert,
+    then appends to the detsan ledger and notifies the observer; the
+    one-shot paths keep a full :class:`Event` so labels and observer
+    hooks see every scheduling. Keeping the two classes apart lets the
+    bare kernel's schedule paths skip even the ``is None`` tests.
+    """
+
+    __slots__ = ()
+
+    def schedule(self, time: int, callback: Callback,
+                 label: Label = "") -> Event:
+        now = self._now
+        event = SimulationKernel.schedule(self, time, callback, label)
+        if self._detsan is not None:
+            self._detsan.record_event(event.time, label)
+        if self._observer is not None:
+            self._observer.event_scheduled(event, now)
+        return event
+
+    def schedule_after(self, delay: int, callback: Callback,
+                       label: Label = "") -> Event:
+        now = self._now
+        event = SimulationKernel.schedule_after(self, delay, callback, label)
+        if self._detsan is not None:
+            self._detsan.record_event(event.time, label)
+        if self._observer is not None:
+            self._observer.event_scheduled(event, now)
+        return event
+
+    def schedule_oneshot(self, time: int, callback: Callback,
+                          label: Label = "") -> None:
+        self.schedule(time, callback, label)
+
+    def schedule_oneshot_after(self, delay: int, callback: Callback,
+                               label: Label = "") -> None:
+        self.schedule_after(delay, callback, label)

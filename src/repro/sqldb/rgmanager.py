@@ -119,15 +119,6 @@ class RgManager:
         self.model_set = model_set
         self.model_version = version
 
-    def observability_counters(self) -> Dict[str, int]:
-        """Cumulative per-node counters for the metric registry.
-
-        Summed across the ring into ``toto_rgmanager_*_total``
-        (docs/OBSERVABILITY.md); reading them has no side effects.
-        """
-        return {"rpcs_served": self.rpcs_served,
-                "naming_degraded": self.naming_degraded}
-
     def forget_replica(self, replica_id: int) -> None:
         """Drop node-local state for a replica that left this node."""
         for per_metric in self._memory.values():

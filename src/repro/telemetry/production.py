@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.sqldb.editions import Edition
 from repro.telemetry.region import RegionProfile
-from repro.units import DAY, DELTA_DISK_PERIOD, HOUR, MINUTE
+from repro.units import DAY, DELTA_DISK_PERIOD, HOUR
 
 #: 20-minute periods per hour / per day.
 PERIODS_PER_HOUR = HOUR // DELTA_DISK_PERIOD

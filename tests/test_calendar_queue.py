@@ -1,16 +1,16 @@
 """Calendar-queue regression and order-equivalence tests.
 
-The bucketed calendar queue (repro.simkernel.event) replaced the
-binary heap; these tests pin down the two properties the swap must
-preserve:
+The kernel's bucketed calendar replaced a binary heap; these tests pin
+down the two properties the swap must preserve:
 
-* sizing stays exact through interleaved cancellation and
-  debris-compaction cycles (the counters are maintained inline on the
-  hot paths, so an off-by-one would drift silently);
+* the live count stays exact through interleaved cancellation and
+  firing (cancelled debris stays in its bucket until that instant
+  fires, so the count must skip it);
 * events fire in exactly the old heap's ``(time, sequence)`` order,
   including handle-free one-shot entries, pre-run cancellations, and
   callbacks that schedule more work mid-run — checked against a plain
-  ``heapq`` reference model under hypothesis-generated workloads.
+  ``heapq`` reference model under hypothesis-generated workloads, for
+  the bare kernel and for one carrying an observer and DetSan.
 """
 
 import heapq
@@ -18,68 +18,47 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.detsan import DetSanRecorder
 from repro.simkernel import SimulationKernel
-from repro.simkernel.event import EventQueue
 
 
 class TestPendingAccountingUnderCancelCompaction:
-    """`len(queue)` / `pending_events` through cancel + compact cycles."""
+    """`pending_events` through cancel + fire cycles."""
 
     def test_queue_len_through_interleaved_cancel_and_compaction(self):
-        queue = EventQueue()
+        kernel = SimulationKernel()
+        fired = []
         handles = {}
         for i in range(300):
-            handles[i] = queue.push(i % 10, lambda: None, label=f"e{i}")
+            handles[i] = kernel.schedule(
+                i % 10, lambda i=i: fired.append(i), label=f"e{i}")
         live = set(handles)
-        assert len(queue) == 300
-        assert queue.entries_pending == 300
-        assert queue.cancelled_pending == 0
+        assert kernel.pending_events == 300
 
         for cycle in range(4):
-            # Cancel a stride of the surviving handles; once debris
-            # crosses COMPACT_MIN and outnumbers live entries the
-            # queue compacts behind our back — accounting must not
-            # notice either way.
+            # Cancel a stride of the surviving handles; the debris
+            # stays buried in its bucket, and the count must skip it.
             victims = sorted(live)[::3]
             for i in victims:
                 handles[i].cancel()
                 live.discard(i)
-            assert len(queue) == len(live)
-            assert (queue.entries_pending - queue.cancelled_pending
-                    == len(queue))
+            assert kernel.pending_events == len(live)
 
-            # Pop a few live events; pop() skips debris and must keep
-            # all three counters consistent while doing so.
-            for _ in range(15):
-                event = queue.pop()
-                if event is None:
-                    break
-                assert event.callback is not None
-                live.discard(event.sequence)
-            assert len(queue) == len(live)
+            # Fire one instant: its live entries run in sequence order
+            # and its debris leaves with the bucket.
+            before = len(fired)
+            kernel.run_until(cycle + 1)
+            batch = fired[before:]
+            assert batch == sorted(i for i in live if i % 10 == cycle)
+            live.difference_update(batch)
+            assert kernel.pending_events == len(live)
+            assert min(kernel._buckets) == cycle + 1
 
-        # Explicit compaction with the front cursor mid-bucket: all
-        # debris drains, live count is untouched.
-        queue.compact()
-        assert queue.cancelled_pending == 0
-        assert queue.entries_pending == len(queue) == len(live)
-        drained = 0
-        while queue.pop() is not None:
-            drained += 1
-        assert drained == len(live)
-        assert len(queue) == 0
-
-    def test_compaction_triggers_and_resets_debris(self):
-        queue = EventQueue()
-        handles = [queue.push(5, lambda: None) for _ in range(200)]
-        # Cancel past the trigger: >= COMPACT_MIN debris and more
-        # debris than live entries forces an automatic compaction
-        # partway through the storm.
-        for handle in handles[:120]:
-            handle.cancel()
-        assert queue.cancelled_pending < 120  # auto-compacted en route
-        assert len(queue) == 80
-        assert queue.entries_pending - queue.cancelled_pending == 80
+        kernel.run_until(10)
+        assert sorted(fired) == sorted(
+            i for i in handles if not handles[i].cancelled)
+        assert kernel.pending_events == 0
+        assert kernel._buckets == {} and kernel._times == []
 
     def test_kernel_pending_events_with_oneshots_and_cancels(self):
         kernel = SimulationKernel()
@@ -97,7 +76,7 @@ class TestPendingAccountingUnderCancelCompaction:
         for handle in cancels:
             handle.cancel()
         assert kernel.pending_events == 100 - len(cancels)
-        kernel.run_until(13)  # partial drain, cursor lands mid-stream
+        kernel.run_until(13)  # partial drain
         kernel.run_until(100)
         assert kernel.pending_events == 0
         assert len(fired) == 100 - len(cancels)
@@ -113,6 +92,26 @@ OPS = st.lists(
               st.booleans(),
               st.one_of(st.none(), st.integers(min_value=0, max_value=8))),
     min_size=1, max_size=60)
+
+
+class Boom(Exception):
+    """Raised by the one failing callback of a workload."""
+
+
+class RecordingObserver:
+    """A :class:`KernelObserver` that logs each hook with its sequence."""
+
+    def __init__(self):
+        self.log = []
+
+    def event_scheduled(self, event, now):
+        self.log.append(("scheduled", event.sequence))
+
+    def event_begin(self, event):
+        self.log.append(("begin", event.sequence))
+
+    def event_end(self, event):
+        self.log.append(("end", event.sequence))
 
 
 def reference_firing_order(ops):
@@ -173,3 +172,87 @@ class TestCalendarQueueOrderEquivalence:
 
         assert fired == reference_firing_order(ops)
         assert kernel.pending_events == 0
+
+    @given(ops=OPS, split=st.integers(min_value=1, max_value=48),
+           boom=st.integers(min_value=0, max_value=59))
+    @settings(max_examples=120, deadline=None)
+    def test_instrumented_kernel_fires_in_exact_heap_order(self, ops, split,
+                                                           boom):
+        """Observer + DetSan kernel == reference heap, through a raise.
+
+        Op ``boom`` (if it fires) raises after scheduling its child; the
+        unfired tail of its bucket must fire on the next ``run_until``.
+        """
+        observer = RecordingObserver()
+        recorder = DetSanRecorder()
+        kernel = SimulationKernel(detsan=recorder, observer=observer)
+        boom %= len(ops)
+        fired = []
+        handles = {}
+
+        def make_callback(i, child):
+            def callback():
+                fired.append(("op", i))
+                if child is not None:
+                    def fire_child():
+                        fired.append(("child", i))
+
+                    # Children are never cancelled, so each of the four
+                    # schedule paths must give the same order.
+                    if i % 4 == 0:
+                        kernel.schedule(kernel.now + child, fire_child)
+                    elif i % 4 == 1:
+                        kernel.schedule_after(child, fire_child)
+                    elif i % 4 == 2:
+                        kernel.schedule_oneshot(kernel.now + child,
+                                                fire_child)
+                    else:
+                        kernel.schedule_oneshot_after(child, fire_child)
+                if i == boom:
+                    raise Boom(i)
+            return callback
+
+        for i, (time, is_oneshot, _cancel, child) in enumerate(ops):
+            callback = make_callback(i, child)
+            if is_oneshot:
+                kernel.schedule_oneshot(time, callback, label=f"op{i}")
+            else:
+                handles[i] = kernel.schedule(time, callback, label=f"op{i}")
+        for i, (_, is_oneshot, cancelled, _) in enumerate(ops):
+            if cancelled and not is_oneshot:
+                handles[i].cancel()
+
+        raised = 0
+        for end in (split, 64):
+            while True:
+                try:
+                    kernel.run_until(end)
+                    break
+                except Boom:
+                    raised += 1
+                    assert kernel.now == ops[boom][0]
+
+        reference = reference_firing_order(ops)
+        assert fired == reference
+        assert raised == (1 if ("op", boom) in reference else 0)
+        assert kernel.events_executed == len(reference) - raised
+        assert kernel.pending_events == 0
+
+        # One begin/end pair per fired Event: one-shots keep a full
+        # Event on this kernel, so that is every fired entry.
+        hooks = [entry for entry in observer.log if entry[0] != "scheduled"]
+        assert [kind for kind, _ in hooks] == ["begin", "end"] * len(fired)
+        assert all(begin[1] == end[1]
+                   for begin, end in zip(hooks[::2], hooks[1::2]))
+
+        # One ledger entry and one observer notice per schedule call.
+        children = sum(1 for kind, i in reference
+                       if kind == "op" and ops[i][3] is not None)
+        ledger = [entry for entry in recorder.entries
+                  if entry[0] == "event"]
+        assert len(ledger) == len(ops) + children
+        assert [label for _, _, label in ledger[:len(ops)]] == [
+            f"op{i}" for i in range(len(ops))]
+        scheduled = [seq for kind, seq in observer.log
+                     if kind == "scheduled"]
+        assert scheduled == list(range(len(ops) + children))

@@ -26,7 +26,7 @@ from repro.errors import (
     NamingUnavailableError,
     RetryBudgetExceeded,
 )
-from repro.experiments.scenarios import chaos_profile, chaos_scenario
+from repro.experiments.scenarios import chaos_scenario
 from repro.parallel import SweepExecutor
 from repro.rng import RngRegistry
 from repro.units import HOUR, MINUTE

@@ -9,9 +9,9 @@ from repro.core.disk_models import (
     InitialGrowthSpec,
     RapidGrowthSpec,
 )
-from repro.core.hourly_schedule import DayType, HourlyNormalSchedule
+from repro.core.hourly_schedule import HourlyNormalSchedule
 from repro.core.model_base import BinnedUniform, ModelContext
-from repro.core.selectors import ALL_PREMIUM_BC, ALL_STANDARD_GP
+from repro.core.selectors import ALL_PREMIUM_BC
 from repro.sqldb.database import DatabaseInstance
 from repro.sqldb.editions import GP_TEMPDB_BASELINE_GB
 from repro.sqldb.slo import get_slo

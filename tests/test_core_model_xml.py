@@ -9,7 +9,7 @@ from repro.core.disk_models import (
     InitialGrowthSpec,
     RapidGrowthSpec,
 )
-from repro.core.hourly_schedule import DayType, HourlyNormalSchedule
+from repro.core.hourly_schedule import HourlyNormalSchedule
 from repro.core.memory_model import MemoryUsageModel
 from repro.core.model_base import BinnedUniform
 from repro.core.model_xml import (

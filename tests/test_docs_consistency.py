@@ -313,14 +313,18 @@ class TestOrchestratorDoc:
 
 class TestDesignIndex:
     def test_retired_extensions_not_documented(self):
-        """Elastic pools, the sqldb multi-ring region and the
-        ``can_fit_service`` probe are gone."""
+        """Elastic pools, the sqldb multi-ring region, the
+        ``can_fit_service`` probe and the kernel's separate queue and
+        clock (with queue compaction and ``run_to_completion``) are
+        gone."""
         docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
                 *sorted((REPO / "docs").glob("*.md"))]
         for path in docs:
             text = path.read_text()
             for name in ("elastic_pool", "ElasticPool", "region_routing",
-                         "sqldb/region.py", "can_fit_service"):
+                         "sqldb/region.py", "can_fit_service",
+                         "EventQueue", "SimClock", "run_to_completion",
+                         "COMPACT_MIN"):
                 assert name not in text, f"{path.name} still mentions {name}"
 
     def test_referenced_modules_exist(self):

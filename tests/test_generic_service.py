@@ -7,7 +7,6 @@ PLB governs memory capacity violations.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.model_base import ModelContext, ResourceModel, TotoModelSet
 from repro.core.selectors import ALL_DATABASES

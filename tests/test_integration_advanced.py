@@ -14,9 +14,9 @@ from repro.core.selectors import ALL_DATABASES, ALL_PREMIUM_BC
 from repro.fabric.cluster import ServiceFabricCluster
 from repro.fabric.metrics import DISK_GB, MEMORY_GB, NodeCapacities
 from repro.fabric.replica import ReplicaRole
-from repro.sqldb.editions import COLD_BUFFER_POOL_GB, Edition
+from repro.sqldb.editions import COLD_BUFFER_POOL_GB
 from repro.units import HOUR, MINUTE
-from tests.conftest import make_flat_disk_model, make_ring
+from tests.conftest import make_ring
 
 
 class TestRebuildWindowVulnerability:

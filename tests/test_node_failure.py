@@ -6,8 +6,7 @@ import pytest
 from repro.errors import FabricError
 from repro.fabric.cluster import ServiceFabricCluster
 from repro.fabric.failover import REASON_NODE_FAILURE
-from repro.fabric.metrics import CPU_CORES, DISK_GB, NodeCapacities
-from repro.fabric.replica import ReplicaRole
+from repro.fabric.metrics import DISK_GB, NodeCapacities
 
 
 def make_cluster(nodes=5, cpu=32.0, disk=1000.0, seed=2):

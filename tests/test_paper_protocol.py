@@ -11,7 +11,7 @@ scaled-down runs of the real scenario builder:
 
 import pytest
 
-from repro.core.runner import BenchmarkRunner, run_scenario
+from repro.core.runner import BenchmarkRunner
 from repro.experiments.scenarios import paper_scenario
 
 

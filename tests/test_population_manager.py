@@ -1,7 +1,5 @@
 """Tests for the Population Manager (§3.3.3)."""
 
-import pytest
-
 from repro.core.population_manager import PopulationManager
 from repro.sqldb.editions import Edition
 from repro.units import DAY, HOUR

@@ -8,7 +8,7 @@ from repro.core.model_base import BinnedUniform
 from repro.fabric.metrics import CPU_CORES, DISK_GB, NodeCapacities
 from repro.fabric.node import Node
 from repro.fabric.replica import Replica, ReplicaRole
-from repro.simkernel import EventQueue, SimulationKernel
+from repro.simkernel import SimulationKernel
 from repro.stats.descriptive import boxplot_stats
 from repro.stats.dtw import dtw_distance
 
@@ -18,20 +18,39 @@ positive_floats = st.floats(min_value=0.01, max_value=1e6,
                             allow_nan=False, allow_infinity=False)
 
 
+class _PopRecorder:
+    """Observer that records each event as the calendar hands it out."""
+
+    def __init__(self, kernel_ref):
+        self.kernel_ref = kernel_ref
+        self.popped = []
+
+    def event_scheduled(self, event, now):
+        pass
+
+    def event_begin(self, event):
+        assert self.kernel_ref[0].now == event.time
+        self.popped.append((event.time, event.sequence))
+
+    def event_end(self, event):
+        pass
+
+
 class TestEventQueueProperties:
     @given(st.lists(st.integers(min_value=0, max_value=10_000),
                     min_size=1, max_size=200))
     def test_pop_order_is_sorted(self, times):
-        queue = EventQueue()
+        kernel_ref = []
+        recorder = _PopRecorder(kernel_ref)
+        kernel = SimulationKernel(observer=recorder)
+        kernel_ref.append(kernel)
         for time in times:
-            queue.push(time, lambda: None)
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event.time)
-        assert popped == sorted(times)
+            kernel.schedule(time, lambda: None)
+        kernel.run_until(10_001)
+        assert [time for time, _ in recorder.popped] == sorted(times)
+        # Same-instant events leave in scheduling order.
+        assert recorder.popped == sorted(recorder.popped)
+        assert kernel.pending_events == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=1000),
                     min_size=1, max_size=100))

@@ -6,7 +6,6 @@ failover), and Naming-Service persistence for local-store disk
 (primary executes + writes, secondaries read).
 """
 
-import numpy as np
 import pytest
 
 from repro.core.model_base import TotoModelSet

@@ -1,7 +1,6 @@
 """Tests for the deterministic RNG registry."""
 
 import numpy as np
-import pytest
 
 from repro.rng import RngRegistry
 

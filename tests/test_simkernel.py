@@ -3,87 +3,92 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simkernel import Event, EventQueue, PeriodicProcess, SimClock, \
-    SimulationKernel
-from repro.units import HOUR
+from repro.simkernel import PeriodicProcess, SimulationKernel
+from repro.units import HOUR, hour_of_day
 
 
 class TestClock:
+    """The kernel owns simulated time: ``start``, ``now``, ``run_until``."""
+
     def test_starts_at_zero(self):
-        assert SimClock().now == 0
+        assert SimulationKernel().now == 0
 
     def test_custom_start(self):
-        assert SimClock(100).now == 100
+        assert SimulationKernel(100).now == 100
 
     def test_negative_start_rejected(self):
         with pytest.raises(SimulationError):
-            SimClock(-1)
+            SimulationKernel(-1)
 
     def test_advance(self):
-        clock = SimClock()
-        clock.advance_to(50)
-        assert clock.now == 50
+        kernel = SimulationKernel()
+        kernel.run_until(50)
+        assert kernel.now == 50
 
     def test_advance_to_same_time_ok(self):
-        clock = SimClock(10)
-        clock.advance_to(10)
-        assert clock.now == 10
+        kernel = SimulationKernel(10)
+        kernel.run_until(10)
+        assert kernel.now == 10
 
     def test_cannot_go_backwards(self):
-        clock = SimClock(10)
+        kernel = SimulationKernel(10)
         with pytest.raises(SimulationError):
-            clock.advance_to(9)
+            kernel.run_until(9)
+        assert kernel.now == 10
 
     def test_hour_of_day(self):
-        clock = SimClock(3 * HOUR + 10)
-        assert clock.hour_of_day == 3
+        assert hour_of_day(SimulationKernel(3 * HOUR + 10).now) == 3
 
 
 class TestEventQueue:
-    def test_orders_by_time(self):
-        queue = EventQueue()
-        queue.push(30, lambda: None, "late")
-        queue.push(10, lambda: None, "early")
-        assert queue.pop().label == "early"
-        assert queue.pop().label == "late"
+    """The kernel's event calendar: order, cancellation, live count."""
 
-    def test_fifo_within_same_time(self):
-        queue = EventQueue()
-        queue.push(5, lambda: None, "first")
-        queue.push(5, lambda: None, "second")
-        assert queue.pop().label == "first"
-        assert queue.pop().label == "second"
+    def test_orders_by_time(self, kernel):
+        log = []
+        kernel.schedule(30, lambda: log.append("late"), "late")
+        kernel.schedule(10, lambda: log.append("early"), "early")
+        kernel.run_until(11)
+        assert log == ["early"]
+        kernel.run_until(31)
+        assert log == ["early", "late"]
 
-    def test_cancelled_events_skipped(self):
-        queue = EventQueue()
-        event = queue.push(5, lambda: None, "cancel-me")
-        queue.push(6, lambda: None, "keep")
+    def test_fifo_within_same_time(self, kernel):
+        log = []
+        kernel.schedule(5, lambda: log.append("first"), "first")
+        kernel.schedule(5, lambda: log.append("second"), "second")
+        kernel.run_until(6)
+        assert log == ["first", "second"]
+
+    def test_cancelled_events_skipped(self, kernel):
+        log = []
+        event = kernel.schedule(5, lambda: log.append("cancel-me"))
+        kernel.schedule(6, lambda: log.append("keep"))
         event.cancel()
-        assert queue.pop().label == "keep"
+        kernel.run_until(10)
+        assert log == ["keep"]
+        assert kernel.events_executed == 1
 
-    def test_empty_pop_returns_none(self):
-        assert EventQueue().pop() is None
-
-    def test_negative_time_rejected(self):
+    def test_negative_time_rejected(self, kernel):
         with pytest.raises(SimulationError):
-            EventQueue().push(-1, lambda: None)
+            kernel.schedule(-1, lambda: None)
 
-    def test_len_counts_only_live_events(self):
-        queue = EventQueue()
-        events = [queue.push(t, lambda: None) for t in range(10)]
+    def test_len_counts_only_live_events(self, kernel):
+        events = [kernel.schedule(t, lambda: None) for t in range(10)]
+        kernel.schedule_oneshot(4, lambda: None)
         events[3].cancel()
         events[7].cancel()
-        assert len(queue) == 8
+        assert kernel.pending_events == 9
+        kernel.run_until(5)
+        assert kernel.pending_events == 4
 
-    def test_lazy_label_resolved_on_access(self):
-        queue = EventQueue()
+    def test_lazy_label_resolved_on_access(self, kernel):
         calls = []
 
         def label():
             calls.append(1)
             return "expensive-label"
 
-        event = queue.push(5, lambda: None, label)
+        event = kernel.schedule(5, lambda: None, label)
         assert calls == []          # not formatted at scheduling time
         assert event.label == "expensive-label"
         assert event.label == "expensive-label"
@@ -91,49 +96,18 @@ class TestEventQueue:
 
 
 class TestEventQueueCompaction:
-    def test_cancelled_debris_compacts(self):
-        """Cancelling most of a large heap sheds the dead entries."""
-        queue = EventQueue()
-        keep = [queue.push(t, lambda: None, "keep") for t in range(0, 50)]
-        doomed = [queue.push(t, lambda: None, "doomed")
-                  for t in range(50, 250)]
-        for event in doomed:
-            event.cancel()
-        # Compaction ran (possibly several times): debris stays bounded
-        # under the threshold instead of accumulating all 200 entries.
-        assert queue.cancelled_pending < EventQueue.COMPACT_MIN
-        assert queue.entries_pending < len(keep) + EventQueue.COMPACT_MIN
-        assert len(queue) == len(keep)
-        # And the survivors still pop in order.
-        assert [queue.pop().time for _ in range(3)] == [0, 1, 2]
+    """Cancelled debris: skipped and dropped when its bucket fires."""
 
-    def test_small_heaps_not_compacted(self):
-        """Tiny heaps skip compaction (below COMPACT_MIN debris)."""
-        queue = EventQueue()
-        events = [queue.push(t, lambda: None) for t in range(10)]
-        for event in events[1:]:
-            event.cancel()
-        assert queue.cancelled_pending == 9
-        assert queue.pop().time == 0
-
-    def test_double_cancel_counted_once(self):
-        queue = EventQueue()
-        event = queue.push(1, lambda: None)
-        queue.push(2, lambda: None)
+    def test_double_cancel_counted_once(self, kernel):
+        event = kernel.schedule(1, lambda: None)
+        kernel.schedule(2, lambda: None)
         event.cancel()
         event.cancel()
-        assert queue.cancelled_pending == 1
-        assert len(queue) == 1
-
-    def test_explicit_compact_keeps_order(self):
-        queue = EventQueue()
-        events = [queue.push(t, lambda: None) for t in range(20)]
-        for event in events[::2]:
-            event.cancel()
-        queue.compact()
-        assert queue.cancelled_pending == 0
-        assert [queue.pop().time for _ in range(10)] \
-            == list(range(1, 20, 2))
+        assert event.cancelled
+        assert kernel.pending_events == 1
+        kernel.run_until(3)
+        assert kernel.events_executed == 1
+        assert kernel.pending_events == 0
 
 
 class TestKernel:
@@ -189,22 +163,6 @@ class TestKernel:
             kernel.schedule(time, lambda: None)
         kernel.run_until(10)
         assert kernel.events_executed == 3
-
-    def test_run_to_completion(self, kernel):
-        log = []
-        kernel.schedule(10, lambda: log.append(1))
-        kernel.schedule(20, lambda: log.append(2))
-        kernel.run_to_completion()
-        assert log == [1, 2]
-        assert kernel.now == 20
-
-    def test_run_to_completion_loop_guard(self, kernel):
-        def forever():
-            kernel.schedule_after(1, forever)
-
-        kernel.schedule(0, forever)
-        with pytest.raises(SimulationError):
-            kernel.run_to_completion(max_events=100)
 
     def test_run_until_backwards_rejected(self, kernel):
         kernel.run_until(10)

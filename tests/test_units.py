@@ -1,7 +1,5 @@
 """Tests for time/size unit helpers."""
 
-import pytest
-
 from repro.units import (
     DAY,
     HOUR,
