@@ -336,6 +336,31 @@ class TestDetSanRecorder:
         two.record_event(1, "a")
         assert one.fingerprint() != two.fingerprint()
 
+    def test_fingerprint_ignores_line_numbers_only(self):
+        """An edit that moves a draw site keeps the fingerprint; a
+        different stream, method, file or order does not."""
+        base = [("stream", "stream", "plb", "repro/fabric/plb.py", 135),
+                ("draw", "plb", "integers", "repro/fabric/plb.py", 310),
+                ("event", 60, "tick")]
+
+        def fingerprint(entries):
+            recorder = DetSanRecorder()
+            recorder.entries.extend(entries)
+            return recorder.fingerprint()
+
+        moved = [base[0][:-1] + (139,), base[1][:-1] + (311,), base[2]]
+        assert fingerprint(moved) == fingerprint(base)
+        assert compare_ledgers(base, moved) is not None
+        variants = [
+            [base[0][:2] + ("plb/x",) + base[0][3:], *base[1:]],
+            [base[0], base[1][:2] + ("random",) + base[1][3:], base[2]],
+            [base[0], base[1][:3] + ("repro/fabric/k8s.py", 310), base[2]],
+            [base[1], base[0], base[2]],
+            [*base[:2], ("event", 60, "tock")],
+        ]
+        for variant in variants:
+            assert fingerprint(variant) != fingerprint(base), variant
+
 
 class TestDetSanEndToEnd:
     def test_short_run_verifies_against_the_registry(self):
