@@ -105,8 +105,7 @@ def main() -> None:
                 is_primary=True, previous_value=previous, rng=rng))
             cluster.report_load(replica, {MEMORY_GB: value})
         # Govern MEMORY instead of disk: same PLB machinery.
-        records = cluster.plb.fix_violations(now, cluster,
-                                             metric=MEMORY_GB)
+        records = cluster.plb.fix_violations(now, metric=MEMORY_GB)
         failovers += len(records)
         if step % 36 == 0:
             loads = " ".join(f"{node.load(MEMORY_GB):5.1f}"

@@ -37,7 +37,7 @@ from repro.experiments.scenarios import (
     trained_artifacts,
 )
 from repro.core.model_xml import serialize_model_xml
-from repro.fabric.backend import backend_names
+from repro.fabric.cluster import BACKENDS
 from repro.units import HOUR, format_duration
 
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fault-injection profile: "
                           + ", ".join(sorted(CHAOS_PROFILES)))
     run.add_argument("--backend", default="annealing",
-                     choices=backend_names(),
+                     choices=sorted(BACKENDS),
                      help="orchestrator backend placing and balancing "
                           "replicas (default: %(default)s)")
     run.add_argument("--detsan", action="store_true",

@@ -75,8 +75,8 @@ def paper_scenario(density: float = 1.0,
         maintenance: simulate occasional cluster maintenance upgrades
             (the Figure 11 outliers).
         population: override the Table 2 initial population.
-        backend: orchestrator backend for the ring
-            (:func:`repro.fabric.backend.backend_names`).
+        backend: orchestrator backend for the ring, a key of
+            :data:`repro.fabric.cluster.BACKENDS`.
     """
     artifacts = trained_artifacts(profile, training_seed)
     ring = TenantRingConfig(

@@ -12,28 +12,25 @@ This package reproduces exactly those mechanics:
 
 * :mod:`repro.fabric.metrics` — metric names and node capacities;
 * :mod:`repro.fabric.node` / :mod:`repro.fabric.replica` — the hosted
-  topology with incremental load aggregation;
+  topology with incremental load aggregation into the cluster's load
+  matrix, the one store of every node's loads and availability;
 * :mod:`repro.fabric.naming` — the Naming Service metastore that Toto
   uses both for model XML distribution and persisted disk loads;
 * :mod:`repro.fabric.annealing` — a small simulated-annealing search;
-* :mod:`repro.fabric.backend` — the pluggable orchestrator-backend
-  protocol and registry (docs/ORCHESTRATORS.md);
+* :mod:`repro.fabric.backend` — the orchestrator-backend contract and
+  the mechanics every backend shares (docs/ORCHESTRATORS.md);
 * :mod:`repro.fabric.plb` — the ``"annealing"`` backend: placement,
   balancing and capacity-violation fixes (failovers);
 * :mod:`repro.fabric.k8s` — the ``"k8s"`` backend: a Kubernetes-style
-  requests/limits scheduler with priority preemption;
-* :mod:`repro.fabric.cluster` — the cluster facade tying it together.
+  requests scheduler with priority preemption;
+* :mod:`repro.fabric.cluster` — the cluster facade tying it together,
+  and ``BACKENDS``, the backends by name.
 """
 
-from repro.fabric.backend import (
-    OrchestratorBackend,
-    backend_names,
-    create_backend,
-    register_backend,
-)
-from repro.fabric.cluster import ServiceFabricCluster
+from repro.fabric.backend import OrchestratorBackend
+from repro.fabric.cluster import BACKENDS, ServiceFabricCluster
 from repro.fabric.failover import FailoverRecord
-from repro.fabric.k8s import KubernetesBackend, ResourceSpec
+from repro.fabric.k8s import KubernetesBackend
 from repro.fabric.metrics import (
     CPU_CORES,
     DISK_GB,
@@ -46,6 +43,7 @@ from repro.fabric.plb import PlacementAndLoadBalancer
 from repro.fabric.replica import Replica, ReplicaRole
 
 __all__ = [
+    "BACKENDS",
     "CPU_CORES",
     "DISK_GB",
     "MEMORY_GB",
@@ -58,9 +56,5 @@ __all__ = [
     "PlacementAndLoadBalancer",
     "Replica",
     "ReplicaRole",
-    "ResourceSpec",
     "ServiceFabricCluster",
-    "backend_names",
-    "create_backend",
-    "register_backend",
 ]

@@ -1,4 +1,4 @@
-"""Pluggable orchestrator backends: the contract and the registry.
+"""Orchestrator backends: the contract and the shared mechanics.
 
 The paper's efficiency numbers are properties of one fixed control
 plane — the simulated-annealing PLB plus Service Fabric's naming and
@@ -12,7 +12,6 @@ of the system actually exercises are extracted into
 * ``fix_violations`` — the periodic capacity-violation sweep;
 * ``choose_target`` — failover target selection (node failures and
   pending-replica retries);
-* ``replica_count_for`` — replica-set sizing for an SLO request;
 * ``register_service`` / ``unregister_service`` — naming-registration
   hooks (the annealing backend registers nothing, preserving the
   seed's metastore traffic byte for byte; the Kubernetes-style backend
@@ -20,9 +19,9 @@ of the system actually exercises are extracted into
 * ``bootstrap_spill`` — the swap-based last resort for a wedged
   bootstrap placement (shared mechanics, below).
 
-Backends self-register under a name and are selected per ring via
-``TenantRingConfig.backend`` / ``ClusterTemplate.backend`` /
-``repro run --backend``. Registered backends:
+Backends are listed by name in :data:`repro.fabric.cluster.BACKENDS`
+and selected per ring via ``TenantRingConfig.backend`` /
+``ClusterTemplate.backend`` / ``repro run --backend``:
 
 * ``annealing`` — :class:`repro.fabric.plb.PlacementAndLoadBalancer`,
   the reference implementation (byte-identical to the pre-refactor
@@ -34,11 +33,10 @@ Backends self-register under a name and are selected per ring via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import FabricError
 from repro.fabric.failover import (
     REASON_CAPACITY_VIOLATION,
     REASON_MAKE_ROOM,
@@ -57,7 +55,8 @@ from repro.fabric.node import (
 from repro.fabric.replica import Replica, ReplicaRole
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle is type-only
-    from repro.fabric.plb import ClusterView, PlbStats
+    from repro.fabric.cluster import ServiceFabricCluster
+    from repro.fabric.plb import PlbStats
 
 #: Cap on replica *swaps* the bootstrap spill performs per blocked
 #: placement; one swap normally frees hundreds of GB and dozens of
@@ -92,6 +91,8 @@ class OrchestratorBackend:
     one a loop over the nodes would make. Concrete backends also set
     ``self.stats`` (a :class:`repro.fabric.plb.PlbStats`).
 
+    Every method reaches the cluster one way, through ``self._cluster``.
+
     Args:
         cluster: the cluster facade (its nodes, load matrix and
             service placements).
@@ -100,12 +101,13 @@ class OrchestratorBackend:
             substream; defaults to ``rng``.
     """
 
-    #: Registry name of the backend (e.g. ``"annealing"``).
+    #: The backend's key in :data:`repro.fabric.cluster.BACKENDS`.
     name: str = ""
 
     stats: "PlbStats"
 
-    def __init__(self, cluster: "ClusterView", rng: np.random.Generator,
+    def __init__(self, cluster: "ServiceFabricCluster",
+                 rng: np.random.Generator,
                  downtime_rng: Optional[np.random.Generator] = None) -> None:
         self._cluster = cluster
         self._nodes: List[Node] = cluster.nodes
@@ -123,12 +125,11 @@ class OrchestratorBackend:
         raise NotImplementedError
 
     def make_room(self, now: int, service_id: str, replica_count: int,
-                  loads: Dict[str, float],
-                  cluster: "ClusterView") -> List[FailoverRecord]:
+                  loads: Dict[str, float]) -> List[FailoverRecord]:
         """Relocate replicas so a blocked placement becomes feasible."""
         raise NotImplementedError
 
-    def fix_violations(self, now: int, cluster: "ClusterView",
+    def fix_violations(self, now: int,
                        metric: str = DISK_GB) -> List[FailoverRecord]:
         """Move replicas off nodes whose ``metric`` load exceeds capacity."""
         raise NotImplementedError
@@ -139,19 +140,8 @@ class OrchestratorBackend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Sizing and naming hooks (defaults preserve the seed's behaviour)
+    # Naming hooks (the defaults register nothing)
     # ------------------------------------------------------------------
-
-    def replica_count_for(self, requested: int,
-                          loads: Dict[str, float]) -> int:
-        """Replica-set size for a request; the default honours the SLO.
-
-        Both shipped backends return ``requested`` unchanged — the SLO
-        replica count is what admission control charged cores for and
-        what the revenue model bills — but the surface exists so a
-        policy *could* size replica sets from load.
-        """
-        return requested
 
     def register_service(self, naming, service_id: str,
                          node_ids: Sequence[int]) -> None:
@@ -223,9 +213,10 @@ class OrchestratorBackend:
         return ids[np.lexsort((ids, -free))]
 
     def _move(self, now: int, replica: Replica, source: Node, target: Node,
-              metric: str, cluster: "ClusterView",
+              metric: str,
               reason: str = REASON_CAPACITY_VIOLATION) -> FailoverRecord:
         """Execute the move and produce its record."""
+        cluster = self._cluster
         replica_count = cluster.replica_count_of(replica.service_id)
         downtime = failover_downtime(replica, replica_count,
                                      self._downtime_rng,
@@ -280,8 +271,8 @@ class OrchestratorBackend:
     # ------------------------------------------------------------------
 
     def bootstrap_spill(self, now: int, service_id: str,
-                        replica_count: int, loads: Dict[str, float],
-                        cluster: "ClusterView") -> List[FailoverRecord]:
+                        replica_count: int,
+                        loads: Dict[str, float]) -> List[FailoverRecord]:
         """Swap-based last resort for a wedged bootstrap placement.
 
         Big-first packing to a 90% core target on a wide ring can
@@ -305,14 +296,14 @@ class OrchestratorBackend:
         for _ in range(MAX_SPILL_SWAPS):
             if self._feasible_nodes(service_id, loads).size >= replica_count:
                 break
-            swap = self._one_spill_swap(now, service_id, loads, cluster)
+            swap = self._one_spill_swap(now, service_id, loads)
             if swap is None:
                 break
             records.extend(swap)
         return records
 
     def _one_spill_swap(self, now: int, service_id: str,
-                        loads: Dict[str, float], cluster: "ClusterView"
+                        loads: Dict[str, float]
                         ) -> Optional[List[FailoverRecord]]:
         """One feasibility-restoring swap, or ``None`` if no pair exists.
 
@@ -352,11 +343,9 @@ class OrchestratorBackend:
                                                    r_in, loads):
                             continue
                         first = self._move(now, r_out, host, donor,
-                                           DISK_GB, cluster,
-                                           reason=REASON_MAKE_ROOM)
+                                           DISK_GB, reason=REASON_MAKE_ROOM)
                         second = self._move(now, r_in, donor, host,
-                                            CPU_CORES, cluster,
-                                            reason=REASON_MAKE_ROOM)
+                                            CPU_CORES, reason=REASON_MAKE_ROOM)
                         self.stats.make_room_moves += 2
                         return [first, second]
         return None
@@ -384,46 +373,3 @@ def _spill_outgoing_order(replica: Replica) -> Tuple[float, int]:
 def _spill_incoming_order(replica: Replica) -> Tuple[float, int]:
     return (replica.load(DISK_GB), replica.replica_id)
 
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-BackendFactory = Callable[..., OrchestratorBackend]
-
-_BACKENDS: Dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register a backend factory under ``name`` (import-time)."""
-    if name in _BACKENDS:
-        raise FabricError(f"backend '{name}' is already registered")
-    _BACKENDS[name] = factory
-
-
-def _ensure_builtin_backends() -> None:
-    """Import the built-in backend modules so they self-register."""
-    import repro.fabric.k8s  # noqa: F401
-    import repro.fabric.plb  # noqa: F401
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, sorted (CLI choices, docs, tests)."""
-    _ensure_builtin_backends()
-    return tuple(sorted(_BACKENDS))
-
-
-def create_backend(name: str, cluster: "ClusterView",
-                   rng: np.random.Generator,
-                   use_annealing: bool = True,
-                   downtime_rng: np.random.Generator = None
-                   ) -> OrchestratorBackend:
-    """Instantiate the backend registered under ``name`` for ``cluster``."""
-    _ensure_builtin_backends()
-    factory = _BACKENDS.get(name)
-    if factory is None:
-        raise FabricError(
-            f"unknown orchestrator backend '{name}' "
-            f"(registered: {', '.join(sorted(_BACKENDS))})")
-    return factory(cluster=cluster, rng=rng, use_annealing=use_annealing,
-                   downtime_rng=downtime_rng)

@@ -3,38 +3,42 @@
 Ties nodes, the Naming Service, and the PLB into the single object the
 SQL DB substrate talks to. Exposes the orchestrator API surface Toto
 exercises: create/drop service, report load, and the periodic
-violation sweep that produces failovers.
+violation sweep that produces failovers. :data:`BACKENDS` names the
+orchestrator backends a cluster can run.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, NamedTuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Type
 
 import numpy as np
 
 from repro.errors import FabricError, PlacementError, UnknownReplicaError
-from repro.fabric.backend import create_backend
+from repro.fabric.backend import OrchestratorBackend
 from repro.fabric.failover import (
     REASON_NODE_FAILURE,
     FailoverRecord,
     failover_downtime,
     rebuild_seconds,
 )
-from repro.fabric.metrics import (
-    ALL_METRICS,
-    CPU_CORES,
-    DISK_GB,
-    MEMORY_GB,
-    NodeCapacities,
-)
+from repro.fabric.k8s import KubernetesBackend
+from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB, NodeCapacities
 from repro.fabric.naming import NamingService
 from repro.fabric.node import METRIC_COLUMN, LoadMatrix, Node, fold_sum
-from repro.fabric.plb import ClusterView
+from repro.fabric.plb import PlacementAndLoadBalancer
 from repro.fabric.replica import Replica, ReplicaRole
 
 FailoverListener = Callable[[FailoverRecord], None]
+
+#: The orchestrator backends by name (``ServiceFabricCluster(backend=)``,
+#: ``TenantRingConfig.backend``, ``ClusterTemplate.backend`` and
+#: ``repro run --backend``; docs/ORCHESTRATORS.md).
+BACKENDS: Dict[str, Type[OrchestratorBackend]] = {
+    "annealing": PlacementAndLoadBalancer,
+    "k8s": KubernetesBackend,
+}
 
 
 class PendingReplica(NamedTuple):
@@ -69,7 +73,7 @@ class ServiceRecord:
         return [r for r in self.replicas if not r.is_primary]
 
 
-class ServiceFabricCluster(ClusterView):
+class ServiceFabricCluster:
     """A cluster of nodes under one PLB, with a Naming Service.
 
     Args:
@@ -83,8 +87,8 @@ class ServiceFabricCluster(ClusterView):
             that care about stream isolation (the tenant ring) pass the
             named ``("failover", "downtime")`` substream so downtime
             sampling never perturbs placement decisions.
-        backend: registered orchestrator-backend name
-            (:func:`repro.fabric.backend.backend_names`). The default
+        backend: an orchestrator-backend name, a key of
+            :data:`BACKENDS`. The default
             ``"annealing"`` PLB reproduces the paper's control plane;
             the attribute keeps its historical name ``plb`` whichever
             backend is selected.
@@ -97,19 +101,25 @@ class ServiceFabricCluster(ClusterView):
                  backend: str = "annealing") -> None:
         if node_count <= 0:
             raise FabricError(f"node_count must be positive, got {node_count}")
-        #: Every node's loads as one node × metric matrix; each node
-        #: writes its own row (docs/ORCHESTRATORS.md, "The load matrix").
+        #: Every node's loads and availability, stored only here; each
+        #: node reads and writes its own row and availability cell
+        #: (docs/ORCHESTRATORS.md, "The load matrix").
         self.matrix = LoadMatrix([capacities] * node_count)
-        self.nodes: List[Node] = [Node(node_id, capacities,
-                                       row=self.matrix.loads[node_id])
-                                  for node_id in range(node_count)]
+        self.nodes: List[Node] = [
+            Node(node_id, capacities, row=self.matrix.loads[node_id],
+                 available=self.matrix.available[node_id:node_id + 1])
+            for node_id in range(node_count)]
         self.naming = NamingService()
         self._downtime_rng = downtime_rng if downtime_rng is not None \
             else plb_rng
         self._services: Dict[str, ServiceRecord] = {}
-        self.plb = create_backend(backend, self, plb_rng,
-                                  use_annealing=use_annealing,
-                                  downtime_rng=downtime_rng)
+        backend_class = BACKENDS.get(backend)
+        if backend_class is None:
+            raise FabricError(
+                f"unknown orchestrator backend '{backend}' "
+                f"(known: {', '.join(BACKENDS)})")
+        self.plb = backend_class(self, plb_rng, use_annealing=use_annealing,
+                                 downtime_rng=downtime_rng)
         #: Per-metric totals are static after construction (the node
         #: list and every node's capacities never change), but they are
         #: consulted in every telemetry frame and KPI assembly — so
@@ -207,10 +217,6 @@ class ServiceFabricCluster(ClusterView):
             raise FabricError(f"replica_count must be >= 1, got {replica_count}")
         loads = dict(initial_loads)
         loads[CPU_CORES] = cpu_cores
-        # Replica-set sizing is the backend's call; both shipped
-        # backends honour the SLO's count (the admission and revenue
-        # models charged for exactly that many replicas).
-        replica_count = self.plb.replica_count_for(replica_count, loads)
         try:
             node_ids = self.plb.find_placement(service_id, replica_count,
                                                loads)
@@ -218,7 +224,7 @@ class ServiceFabricCluster(ClusterView):
             # SF-style balancing: relocate existing replicas to make
             # room, then retry the placement once.
             moves = self.plb.make_room(now, service_id, replica_count,
-                                       loads, self)
+                                       loads)
             self._record_moves(moves)
             node_ids = self.plb.find_placement(service_id, replica_count,
                                                loads)
@@ -267,7 +273,7 @@ class ServiceFabricCluster(ClusterView):
     def sweep_violations(self, now: int) -> List[FailoverRecord]:
         """Fix disk-capacity violations; returns this sweep's failovers."""
         self._retry_pending(now)
-        records = self.plb.fix_violations(now, self, metric=DISK_GB)
+        records = self.plb.fix_violations(now, metric=DISK_GB)
         self._record_moves(records)
         return records
 
@@ -287,7 +293,7 @@ class ServiceFabricCluster(ClusterView):
         loads = dict(initial_loads)
         loads[CPU_CORES] = cpu_cores
         records = self.plb.bootstrap_spill(now, service_id, replica_count,
-                                           loads, self)
+                                           loads)
         self._record_moves(records)
         return records
 
@@ -305,7 +311,6 @@ class ServiceFabricCluster(ClusterView):
         node = self.nodes[node_id]
         if not node.available:
             raise FabricError(f"node {node_id} is already down")
-        node.available = False
         self.matrix.available[node_id] = False
         records: List[FailoverRecord] = []
         for replica in list(node.replicas):
@@ -346,7 +351,6 @@ class ServiceFabricCluster(ClusterView):
 
     def restore_node(self, node_id: int) -> None:
         """Bring a failed node back (empty; the PLB refills it)."""
-        self.nodes[node_id].available = True
         self.matrix.available[node_id] = True
 
     @property
@@ -403,7 +407,7 @@ class ServiceFabricCluster(ClusterView):
         self._failover_listeners.append(listener)
 
     # ------------------------------------------------------------------
-    # ClusterView protocol (used by the PLB during moves)
+    # Placement state the backends read and update during moves
     # ------------------------------------------------------------------
 
     def replica_count_of(self, service_id: str) -> int:
@@ -457,9 +461,7 @@ class ServiceFabricCluster(ClusterView):
         * every replica is attached to exactly one node,
         * replicas of one service sit on distinct nodes,
         * every multi-replica service has exactly one primary,
-        * node aggregates equal the sum of replica reports,
-        * the load matrix holds every node's aggregates bit for bit and
-          its ``available`` mask every node's flag.
+        * node aggregates equal the sum of replica reports.
         """
         pending_ids = {replica.replica_id
                        for replica, *_ in self._pending}
@@ -483,11 +485,3 @@ class ServiceFabricCluster(ClusterView):
                     raise FabricError(
                         f"node {node.node_id} aggregate {metric} drifted: "
                         f"{node.load(metric)} != {expected}")
-        mirror = np.array([[node.load(metric) for metric in ALL_METRICS]
-                           for node in self.nodes])
-        if mirror.tobytes() != self.matrix.loads.tobytes():
-            raise FabricError("load matrix differs from the node aggregates")
-        flags = np.array([node.available for node in self.nodes])
-        if not np.array_equal(flags, self.matrix.available):
-            raise FabricError("load matrix availability differs from the "
-                              "node flags")

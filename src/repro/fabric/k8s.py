@@ -5,10 +5,11 @@ cluster, databases, and load models, scheduled the way a Kubernetes
 control plane would (Turin et al., "Predicting Resource Consumption of
 Kubernetes Container Systems", PAPERS.md):
 
-* every replica declares a :class:`ResourceSpec` — *requests* taken
-  straight from the existing models (the SLO's CPU reservation, the
-  database's initial disk, the cold buffer-pool memory) and *limits*
-  at node allocatable capacity;
+* a replica's *requests* are its loads, taken straight from the
+  existing models (the SLO's CPU reservation, the database's initial
+  disk, the cold buffer-pool memory); no *limit* is enforced, because
+  the CPU governor (:mod:`repro.sqldb.governance`) plays the cgroup
+  throttle;
 * placement is a feasibility filter (``PodFitsResources``) followed by
   deterministic least-requested scoring — no annealing, no RNG;
 * make-room is *preemption*: standard-priority replicas (General
@@ -30,15 +31,14 @@ the substream registry see nothing new.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import NamingUnavailableError, PlacementError
-from repro.fabric.backend import OrchestratorBackend, register_backend
+from repro.fabric.backend import OrchestratorBackend
 from repro.fabric.failover import REASON_MAKE_ROOM, FailoverRecord
-from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB, NodeCapacities
+from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB
 from repro.fabric.node import METRIC_COLUMN, Node
 from repro.fabric.plb import (
     MAX_MAKE_ROOM_MOVES,
@@ -47,8 +47,8 @@ from repro.fabric.plb import (
 )
 from repro.fabric.replica import Replica
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.fabric.plb import ClusterView
+if TYPE_CHECKING:  # pragma: no cover — import cycle is type-only
+    from repro.fabric.cluster import ServiceFabricCluster
 
 #: Resources the scheduler scores and bin-packs against. CPU and disk
 #: are the enforced metrics; memory participates the way kube-scheduler
@@ -59,40 +59,14 @@ SCHEDULED_METRICS: Tuple[str, ...] = (CPU_CORES, DISK_GB, MEMORY_GB)
 ENDPOINTS_PREFIX = "endpoints/"
 
 
-@dataclass(frozen=True)
-class ResourceSpec:
-    """One replica's declared requests and limits.
-
-    Requests are derived from the existing disk/memory/CPU models —
-    nothing is re-estimated for this backend — and limits sit at node
-    allocatable capacity: SQL replicas are burstable up to the node,
-    with the CPU governor (:mod:`repro.sqldb.governance`) playing the
-    role of the cgroup throttle.
-    """
-
-    requests: Dict[str, float]
-    limits: Dict[str, float]
-
-
-def resource_spec(loads: Dict[str, float],
-                  capacities: NodeCapacities) -> ResourceSpec:
-    """Build the declared spec for a replica with ``loads``."""
-    return ResourceSpec(
-        requests={metric: loads.get(metric, 0.0)
-                  for metric in SCHEDULED_METRICS},
-        limits={metric: capacities.of(metric)
-                for metric in SCHEDULED_METRICS},
-    )
-
-
 class KubernetesBackend(OrchestratorBackend):
-    """Requests/limits bin-packing with priority preemption.
+    """Requests bin-packing with priority preemption.
 
     Args:
         cluster: the cluster facade (nodes, load matrix, placements).
-        rng: the backend's decision stream. Accepted for registry
-            uniformity but never drawn from — kube-scheduler scoring
-            is deterministic.
+        rng: the backend's decision stream. Accepted so every backend
+            is built the same way, but never drawn from —
+            kube-scheduler scoring is deterministic.
         use_annealing: the annealing PLB's knob; accepted and ignored.
         downtime_rng: the shared failover-downtime substream, consumed
             by the base class's move mechanics.
@@ -100,7 +74,8 @@ class KubernetesBackend(OrchestratorBackend):
 
     name = "k8s"
 
-    def __init__(self, cluster: "ClusterView", rng: np.random.Generator,
+    def __init__(self, cluster: "ServiceFabricCluster",
+                 rng: np.random.Generator,
                  use_annealing: bool = True,
                  downtime_rng: np.random.Generator = None) -> None:
         super().__init__(cluster, rng, downtime_rng)
@@ -135,15 +110,15 @@ class KubernetesBackend(OrchestratorBackend):
 
     def find_placement(self, service_id: str, replica_count: int,
                        loads: Dict[str, float]) -> List[int]:
-        """Filter + score, as the scheduler framework phases them."""
-        spec = resource_spec(loads, self._nodes[0].capacities)
-        feasible = self._feasible_nodes(service_id, spec.requests)
+        """Filter + score, as the scheduler framework phases them; the
+        replica's requests are its ``loads``."""
+        feasible = self._feasible_nodes(service_id, loads)
         if feasible.size < replica_count:
             self.stats.placement_failures += 1
             raise PlacementError(
                 f"service {service_id} needs {replica_count} nodes, "
                 f"only {feasible.size} feasible")
-        scores = self._scores(feasible, spec.requests)
+        scores = self._scores(feasible, loads)
         scored = feasible[np.lexsort((feasible, -scores))]
         self.stats.placements += 1
         return scored[:replica_count].tolist()
@@ -163,8 +138,7 @@ class KubernetesBackend(OrchestratorBackend):
     # ------------------------------------------------------------------
 
     def make_room(self, now: int, service_id: str, replica_count: int,
-                  loads: Dict[str, float],
-                  cluster: "ClusterView") -> List[FailoverRecord]:
+                  loads: Dict[str, float]) -> List[FailoverRecord]:
         """Evict lower-priority replicas until the placement fits.
 
         Kubernetes preemption semantics: a pending pod may displace
@@ -177,14 +151,14 @@ class KubernetesBackend(OrchestratorBackend):
             feasible = self._feasible_nodes(service_id, loads)
             if feasible.size >= replica_count:
                 break
-            move = self._preempt_once(now, service_id, loads, cluster)
+            move = self._preempt_once(now, service_id, loads)
             if move is None:
                 break
             records.append(move)
         return records
 
     def _preempt_once(self, now: int, service_id: str,
-                      loads: Dict[str, float], cluster: "ClusterView"
+                      loads: Dict[str, float]
                       ) -> Optional[FailoverRecord]:
         """Evict one replica from the node nearest feasibility.
 
@@ -195,19 +169,18 @@ class KubernetesBackend(OrchestratorBackend):
             node = self._nodes[node_id]
             victims = sorted(
                 (r for r in node.replicas if r.cpu_cores > 0),
-                key=lambda r: self._eviction_order(r, cluster))
+                key=self._eviction_order)
             for victim in victims:
                 target = self.choose_target(victim, node)
                 if target is None:
                     continue
                 record = self._move(now, victim, node, target, CPU_CORES,
-                                    cluster, reason=REASON_MAKE_ROOM)
+                                    reason=REASON_MAKE_ROOM)
                 self.stats.make_room_moves += 1
                 return record
         return None
 
-    def _eviction_order(self, replica: Replica,
-                        cluster: "ClusterView") -> Tuple[bool, float, int]:
+    def _eviction_order(self, replica: Replica) -> Tuple[bool, float, int]:
         """Victim ranking: priority class, then request pressure.
 
         Multi-replica (Business Critical) services run at premium
@@ -215,14 +188,14 @@ class KubernetesBackend(OrchestratorBackend):
         CPU request goes first so the fewest evictions clear a
         shortfall.
         """
-        premium = cluster.replica_count_of(replica.service_id) > 1
+        premium = self._cluster.replica_count_of(replica.service_id) > 1
         return (premium, -replica.cpu_cores, replica.replica_id)
 
     # ------------------------------------------------------------------
     # Capacity violations (node-pressure eviction)
     # ------------------------------------------------------------------
 
-    def fix_violations(self, now: int, cluster: "ClusterView",
+    def fix_violations(self, now: int,
                        metric: str = DISK_GB) -> List[FailoverRecord]:
         """Node-pressure eviction with EPLB-style victim spreading."""
         records: List[FailoverRecord] = []
@@ -232,17 +205,16 @@ class KubernetesBackend(OrchestratorBackend):
                 break
             if not node.available or not node.violates(metric):
                 continue
-            victims = self._select_victims(node, metric, cluster)
+            victims = self._select_victims(node, metric)
             moved = self._spread_victims(now, node, victims[:moves_left],
-                                         metric, cluster)
+                                         metric)
             records.extend(moved)
             moves_left -= len(moved)
             if node.violates(metric) and not moved:
                 self.stats.stuck_violations += 1
         return records
 
-    def _select_victims(self, node: Node, metric: str,
-                        cluster: "ClusterView") -> List[Replica]:
+    def _select_victims(self, node: Node, metric: str) -> List[Replica]:
         """Smallest victim set that clears the node's excess.
 
         Ranked like kubelet node-pressure eviction: standard priority
@@ -250,6 +222,7 @@ class KubernetesBackend(OrchestratorBackend):
         resource first.
         """
         excess = node.load(metric) - node.capacities.of(metric)
+        cluster = self._cluster
         movable = sorted(
             (r for r in node.replicas if r.load(metric) > 0.0),
             key=lambda r: (cluster.replica_count_of(r.service_id) > 1,
@@ -263,8 +236,8 @@ class KubernetesBackend(OrchestratorBackend):
         return victims
 
     def _spread_victims(self, now: int, source: Node,
-                        victims: List[Replica], metric: str,
-                        cluster: "ClusterView") -> List[FailoverRecord]:
+                        victims: List[Replica],
+                        metric: str) -> List[FailoverRecord]:
         """EPLB-style proportional quotas + LPT assignment.
 
         Phase 1 hands each candidate target a victim quota proportional
@@ -318,7 +291,7 @@ class KubernetesBackend(OrchestratorBackend):
                     continue
                 target = fallback
             records.append(self._move(now, victim, source, target,
-                                      metric, cluster))
+                                      metric))
         return records
 
     # ------------------------------------------------------------------
@@ -343,5 +316,3 @@ class KubernetesBackend(OrchestratorBackend):
         """Drop the endpoints record (local cleanup, never gated)."""
         naming.delete_if_exists(ENDPOINTS_PREFIX + service_id)
 
-
-register_backend("k8s", KubernetesBackend)

@@ -5,11 +5,12 @@ metrics to the PLB where it aggregates a centralized view of the load
 on each node." Aggregates here are maintained incrementally so a
 report costs O(metrics), not O(replicas).
 
-Every node's loads are also mirrored, cell for cell, into one
-cluster-wide :class:`LoadMatrix` (node × :data:`ALL_METRICS`), so a
-placement filter or a target pick is one vectorized pass over the
-cluster instead of a Python loop over its nodes. Only :class:`Node`
-writes the loads it holds; the dict stays the scalar read path.
+That centralized view is one cluster-wide :class:`LoadMatrix` (node ×
+:data:`ALL_METRICS`), the only store of every node's loads and
+availability, so a placement filter or a target pick is one vectorized
+pass over the cluster instead of a Python loop over its nodes. Each
+:class:`Node` reads and writes its own row and availability cell; no
+other module knows how node state is stored.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ DISK_COLUMN = METRIC_COLUMN[DISK_GB]
 class LoadMatrix:
     """Every node's loads and capacities as node × metric float64 arrays.
 
-    Row ``i`` belongs to node id ``i``. ``loads`` holds, bit for bit,
-    the floats each :class:`Node` keeps in its scalar aggregates (the
-    node writes both on every change); ``capacity`` is constant;
-    ``available`` mirrors each node's ``available`` flag (written by
-    the cluster's ``fail_node``/``restore_node``). Backends only read.
+    Row ``i`` belongs to node id ``i``. ``loads`` holds each node's
+    aggregates, written only by its :class:`Node`; ``capacity`` is
+    constant; ``available`` is each node's up/down flag, written only
+    by the cluster's ``fail_node``/``restore_node``. Backends only read.
     """
 
     __slots__ = ("loads", "capacity", "available")
@@ -71,29 +71,37 @@ class Node:
     """One data-plane node: capacities plus hosted replicas.
 
     ``row`` is the node's row of the cluster's :class:`LoadMatrix`
-    (a view); a node built on its own gets a private one.
+    ``loads`` and ``available`` its one-cell slice of the matrix's
+    ``available`` mask (both views); a node built on its own gets
+    private ones.
     """
 
     def __init__(self, node_id: int, capacities: NodeCapacities,
-                 row: Optional[np.ndarray] = None) -> None:
+                 row: Optional[np.ndarray] = None,
+                 available: Optional[np.ndarray] = None) -> None:
         self.node_id = node_id
         self.capacities = capacities
-        #: The row is written through a memoryview of its buffer: on
-        #: the report path an item store costs about half of numpy's.
+        #: Both views are read and written through memoryviews of their
+        #: buffers: on the report path an item access costs about half
+        #: of numpy's, and it yields a Python float or bool.
         self._row = memoryview(row if row is not None
                                else np.zeros(len(ALL_METRICS)))
+        self._available = memoryview(available if available is not None
+                                     else np.ones(1, dtype=bool))
         self._replicas: Dict[int, Replica] = {}
         #: Service ids hosted here. Anti-affinity caps it at one
         #: replica per service, so a set gives O(1) ``hosts_service``
         #: — the inner loop of every placement scan at fleet scale.
         self._service_ids: Set[str] = set()
-        self._loads: Dict[str, float] = {metric: 0.0 for metric in ALL_METRICS}
         #: True while the node undergoes a (simulated) maintenance
         #: upgrade; collectors may flag its readings as outliers.
         self.in_maintenance = False
-        #: False while the node is down (failure injection); the PLB
-        #: never places onto or moves replicas to an unavailable node.
-        self.available = True
+
+    @property
+    def available(self) -> bool:
+        """False while the node is down (failure injection); the PLB
+        never places onto or moves replicas to an unavailable node."""
+        return self._available[0]
 
     # -- topology -----------------------------------------------------
 
@@ -122,12 +130,10 @@ class Node:
         self._replicas[replica.replica_id] = replica
         self._service_ids.add(replica.service_id)
         replica.node_id = self.node_id
-        aggregates = self._loads
         row = self._row
         for metric, value in replica.reported.items():
-            total = aggregates[metric] + value
-            aggregates[metric] = total
-            row[METRIC_COLUMN[metric]] = total
+            column = METRIC_COLUMN[metric]
+            row[column] = row[column] + value
 
     def detach(self, replica: Replica) -> None:
         """Remove ``replica`` and subtract its loads from the aggregates."""
@@ -137,12 +143,10 @@ class Node:
         del self._replicas[replica.replica_id]
         self._service_ids.discard(replica.service_id)
         replica.node_id = None
-        aggregates = self._loads
         row = self._row
         for metric, value in replica.reported.items():
-            total = aggregates[metric] - value
-            aggregates[metric] = total
-            row[METRIC_COLUMN[metric]] = total
+            column = METRIC_COLUMN[metric]
+            row[column] = row[column] - value
 
     # -- load accounting ----------------------------------------------
 
@@ -152,18 +156,16 @@ class Node:
             raise FabricError(
                 f"replica {replica.replica_id} not on node {self.node_id}")
         reported = replica.reported
-        aggregates = self._loads
         row = self._row
         for metric, new_value in loads.items():
             old_value = reported.get(metric, 0.0)
             reported[metric] = new_value
-            total = aggregates[metric] + new_value - old_value
-            aggregates[metric] = total
-            row[METRIC_COLUMN[metric]] = total
+            column = METRIC_COLUMN[metric]
+            row[column] = row[column] + new_value - old_value
 
     def load(self, metric: str) -> float:
         """Aggregate load of ``metric`` on this node."""
-        return self._loads.get(metric, 0.0)
+        return self._row[METRIC_COLUMN[metric]]
 
     def free(self, metric: str) -> float:
         """Remaining logical capacity for ``metric``."""
@@ -179,13 +181,12 @@ class Node:
 
     def recompute_loads(self) -> None:
         """Rebuild aggregates from scratch (consistency check / repair)."""
-        loads = {metric: 0.0 for metric in ALL_METRICS}
+        row = self._row
+        for column in METRIC_COLUMN.values():
+            row[column] = 0.0
         for replica in self._replicas.values():
             for metric, value in replica.reported.items():
-                loads[metric] += value
-        self._loads = loads
-        for metric, column in METRIC_COLUMN.items():
-            self._row[column] = loads[metric]
+                row[METRIC_COLUMN[metric]] += value
 
     def __repr__(self) -> str:
         return (f"Node({self.node_id}, replicas={self.replica_count}, "

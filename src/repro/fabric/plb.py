@@ -13,17 +13,20 @@ Service Fabric's PLB does (§5.2); a greedy mode exists as an ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import PlacementError
 from repro.fabric.annealing import anneal
-from repro.fabric.backend import OrchestratorBackend, register_backend
+from repro.fabric.backend import OrchestratorBackend
 from repro.fabric.failover import REASON_MAKE_ROOM, FailoverRecord
 from repro.fabric.metrics import CPU_CORES, DISK_GB
-from repro.fabric.node import CPU_COLUMN, DISK_COLUMN, LoadMatrix, Node, fold_sum
+from repro.fabric.node import CPU_COLUMN, DISK_COLUMN, Node, fold_sum
 from repro.fabric.replica import Replica
+
+if TYPE_CHECKING:  # pragma: no cover — import cycle is type-only
+    from repro.fabric.cluster import ServiceFabricCluster
 
 #: Hard cap on replica moves per violation sweep, so a cluster that is
 #: globally out of disk cannot spin the balancer forever.
@@ -59,7 +62,8 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
 
     The reference :class:`~repro.fabric.backend.OrchestratorBackend`:
     simulated-annealing placement search as Service Fabric's PLB does
-    it (§5.2), registered as ``"annealing"``.
+    it (§5.2), named ``"annealing"`` in
+    :data:`repro.fabric.cluster.BACKENDS`.
 
     Args:
         cluster: the cluster facade (nodes, load matrix, placements).
@@ -77,7 +81,8 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
 
     name = "annealing"
 
-    def __init__(self, cluster: "ClusterView", rng: np.random.Generator,
+    def __init__(self, cluster: "ServiceFabricCluster",
+                 rng: np.random.Generator,
                  use_annealing: bool = True,
                  anneal_iterations: int = 80,
                  cpu_weight: float = 1.0,
@@ -146,8 +151,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
         return selection
 
     def make_room(self, now: int, service_id: str, replica_count: int,
-                  loads: Dict[str, float],
-                  cluster: "ClusterView") -> List[FailoverRecord]:
+                  loads: Dict[str, float]) -> List[FailoverRecord]:
         """Relocate replicas so a blocked placement becomes feasible.
 
         Service Fabric's PLB does not give up when no node currently
@@ -162,7 +166,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
             feasible = self._feasible_nodes(service_id, loads)
             if feasible.size >= replica_count:
                 break
-            move = self._one_make_room_move(now, service_id, loads, cluster)
+            move = self._one_make_room_move(now, service_id, loads)
             if move is None:
                 break
             records.append(move)
@@ -178,8 +182,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
                            r.load(DISK_GB), r.replica_id))
 
     def _one_make_room_move(self, now: int, service_id: str,
-                            loads: Dict[str, float],
-                            cluster: "ClusterView"
+                            loads: Dict[str, float]
                             ) -> Optional[FailoverRecord]:
         """Shed one replica from the node closest to hosting the new one."""
         needed_cpu = loads.get(CPU_CORES, 0.0)
@@ -192,7 +195,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
                 if target is None:
                     continue
                 record = self._move(now, replica, node, target, CPU_CORES,
-                                    cluster, reason=REASON_MAKE_ROOM)
+                                    reason=REASON_MAKE_ROOM)
                 self.stats.make_room_moves += 1
                 return record
         return None
@@ -239,7 +242,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
     # Capacity violations / failovers
     # ------------------------------------------------------------------
 
-    def fix_violations(self, now: int, cluster: "ClusterView",
+    def fix_violations(self, now: int,
                        metric: str = DISK_GB) -> List[FailoverRecord]:
         """Move replicas off nodes whose ``metric`` load exceeds capacity.
 
@@ -253,7 +256,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
             if not node.available:
                 continue
             while node.violates(metric) and moves_left > 0:
-                record = self._relieve_node(now, node, metric, cluster)
+                record = self._relieve_node(now, node, metric)
                 if record is None:
                     self.stats.stuck_violations += 1
                     break
@@ -261,8 +264,8 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
                 moves_left -= 1
         return records
 
-    def _relieve_node(self, now: int, node: Node, metric: str,
-                      cluster: "ClusterView") -> Optional[FailoverRecord]:
+    def _relieve_node(self, now: int, node: Node,
+                      metric: str) -> Optional[FailoverRecord]:
         """Move one replica off ``node`` to relieve a ``metric`` violation."""
         excess = node.load(metric) - node.capacities.of(metric)
         movable = [replica for replica in node.replicas
@@ -283,8 +286,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
         for replica in covering + non_covering:
             target = self._choose_target(replica, node)
             if target is not None:
-                return self._move(now, replica, node, target, metric,
-                                  cluster)
+                return self._move(now, replica, node, target, metric)
         return None
 
     def choose_target(self, replica: Replica,
@@ -309,38 +311,3 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
             top = candidates[np.lexsort((candidates, projected))][:3]
             return self._nodes[int(top[int(self._rng.integers(len(top)))])]
         return self._nodes[int(candidates[np.argmin(projected)])]
-
-class ClusterView:
-    """Protocol the PLB needs from the cluster facade.
-
-    Documented as a plain base class (duck typing would do, but the
-    explicit contract keeps the dependency direction visible).
-    """
-
-    #: The cluster's nodes; ``nodes[i].node_id == i``.
-    nodes: List[Node]
-    #: Their loads, capacities and availability as arrays, row ``i``
-    #: for node ``i``.
-    matrix: LoadMatrix
-
-    def service_nodes(self, service_id: str) -> List[int]:
-        """Ids of the nodes hosting a placed replica of the service."""
-        raise NotImplementedError
-
-    def replica_count_of(self, service_id: str) -> int:
-        raise NotImplementedError
-
-    def promote_new_primary(self, service_id: str,
-                            exclude_replica: int) -> None:
-        raise NotImplementedError
-
-    def rebuilding_until(self, service_id: str) -> int:
-        """Timestamp until which a replica rebuild is in flight (0 if
-        none)."""
-        raise NotImplementedError
-
-    def set_rebuilding(self, service_id: str, until: int) -> None:
-        raise NotImplementedError
-
-
-register_backend("annealing", PlacementAndLoadBalancer)

@@ -20,7 +20,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import EventProfiler, format_profile_report
 from repro.obs.session import ObsSession
-from repro.obs.sink import ListSink, TraceSink
+from repro.obs.sink import ListSink
 from repro.obs.trace import SpanTracer
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "ObsSession",
     "RUN_METRIC_NAMES",
     "SpanTracer",
-    "TraceSink",
     "build_manifest",
     "format_profile_report",
     "git_describe",

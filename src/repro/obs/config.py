@@ -27,7 +27,6 @@ class ObsConfig:
             Prometheus textfile at the end of the run.
         profile: keep per-event-label counts and virtual-time
             scheduling-delay histograms, exported as deterministic JSON.
-        profile_top_n: rows in the human-readable top-N profile report.
         wall_clock: optional injected monotonic clock (e.g.
             ``time.perf_counter``) enabling wall-time accounting in the
             *human-readable* profile report. Never read inside
@@ -39,7 +38,6 @@ class ObsConfig:
     trace: bool = False
     metrics: bool = False
     profile: bool = False
-    profile_top_n: int = 15
     wall_clock: Optional[Callable[[], float]] = None
 
     @property

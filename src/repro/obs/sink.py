@@ -1,16 +1,16 @@
-"""Pluggable trace/metric record sinks.
+"""The trace/metric record sink.
 
-A sink receives plain-dict records and owns their serialization. The
-default :class:`ListSink` renders each record to one canonical JSON
-line (sorted keys, compact separators) at emit time, so the final
-artifact is a deterministic function of the emitted record sequence —
-the property the serial-vs-pooled byte-identity contract rests on.
+:class:`ListSink` receives plain-dict records and renders each to one
+canonical JSON line (sorted keys, compact separators) at emit time, so
+the final artifact is a deterministic function of the emitted record
+sequence — the property the serial-vs-pooled byte-identity contract
+rests on.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Protocol
+from typing import Dict, List
 
 #: One trace or metric record; values must be JSON-serializable.
 Record = Dict[str, object]
@@ -19,14 +19,6 @@ Record = Dict[str, object]
 def render_record(record: Record) -> str:
     """Canonical single-line JSON encoding of one record."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-class TraceSink(Protocol):
-    """Anything that can accept a stream of records."""
-
-    def emit(self, record: Record) -> None:
-        """Consume one record."""
-        ...
 
 
 class ListSink:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.sink import ListSink, TraceSink
+from repro.obs.sink import ListSink
 from repro.simkernel.event import Event
 
 #: Version stamp of the trace record schema (the ``meta`` line).
@@ -39,9 +39,8 @@ class SpanTracer:
       "t": T}`` — an instant annotation inside the current span.
     """
 
-    def __init__(self, sink: Optional[TraceSink] = None) -> None:
-        self._list_sink = ListSink() if sink is None else None
-        self._sink: TraceSink = sink if sink is not None else self._list_sink
+    def __init__(self) -> None:
+        self._sink = ListSink()
         self._sink.emit({"type": "meta", "schema": TRACE_SCHEMA_VERSION})
         self._next_id = 1
         self._open: Optional[tuple] = None
@@ -94,8 +93,6 @@ class SpanTracer:
 
     # ------------------------------------------------------------------
 
-    def render(self) -> Optional[str]:
-        """The JSONL artifact (None when a custom sink owns the bytes)."""
-        if self._list_sink is None:
-            return None
-        return self._list_sink.render()
+    def render(self) -> str:
+        """The JSONL artifact."""
+        return self._sink.render()

@@ -1,7 +1,7 @@
 """Backend conformance: every orchestrator passes the same contract.
 
 The :class:`~repro.fabric.backend.OrchestratorBackend` seam is only
-safe if every registered backend upholds the invariants the rest of
+safe if every backend in ``BACKENDS`` upholds the invariants the rest of
 the simulator leans on — replicas never vanish, chaos retries stay
 within the backoff budget, and runs are a pure function of the
 scenario regardless of sweep sharding. This suite drives each backend
@@ -24,7 +24,7 @@ from repro.experiments.scenarios import (
     paper_scenario,
     trained_artifacts,
 )
-from repro.fabric.backend import backend_names
+from repro.fabric.cluster import BACKENDS as KNOWN_BACKENDS
 from repro.fleet import ClusterTemplate, FleetTopology, run_fleet
 from repro.units import MINUTE
 
@@ -82,9 +82,8 @@ def post_bootstrap_sha256(cluster):
 
 
 def test_both_backends_are_registered():
-    names = backend_names()
     for backend in BACKENDS:
-        assert backend in names
+        assert backend in KNOWN_BACKENDS
 
 
 @pytest.fixture(scope="module", params=BACKENDS)

@@ -7,29 +7,44 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fabric.cluster import BACKENDS
 
 REPO = Path(__file__).resolve().parent.parent
 
-_SCIPY_PROBE = """\
+#: ``repro run --density 110 --hours 2`` once per orchestrator backend,
+#: in one interpreter; exits non-zero if a run fails or scipy loads.
+_BACKEND_PROBE = """\
 import sys
-import repro.cli
-from repro.core.runner import run_scenario
-from repro.experiments.scenarios import paper_scenario, trained_artifacts
-trained_artifacts()
-run_scenario(paper_scenario(days=1 / 24))
-assert "scipy" not in sys.modules
+from repro.cli import main
+from repro.fabric.cluster import BACKENDS
+for name in BACKENDS:
+    code = main(["run", "--density", "110", "--hours", "2",
+                 "--backend", name])
+    assert code == 0, (name, code)
+assert "scipy" not in sys.modules, "the simulation path imported scipy"
 """
 
 
 class TestSimulationPathImports:
     def test_setup_and_run_never_import_scipy(self):
         """scipy serves only the statistics helpers and the validation
-        studies; training and a simulated run must not pay its import."""
-        proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO / "src")}, check=False)
-        assert proc.returncode == 0, proc.stderr
+        studies; training and a simulated run must not pay its import.
+
+        The probe runs the CLI under every backend in
+        :data:`~repro.fabric.cluster.BACKENDS`. Two hash seeds must
+        print the same bytes: a run is a function of its arguments.
+        """
+        outputs = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _BACKEND_PROBE],
+                capture_output=True, text=True,
+                env={"PYTHONPATH": str(REPO / "src"),
+                     "PYTHONHASHSEED": hash_seed}, check=False)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.count("reserved cores") == len(BACKENDS)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestParser:

@@ -268,17 +268,16 @@ class TestOrchestratorDoc:
         assert "BackendComparisonStudy" in EXPERIMENTS
 
     def test_backend_api_names_documented(self):
-        for name in ("OrchestratorBackend", "backend_names",
-                     "create_backend", "register_backend",
-                     "KubernetesBackend", "ResourceSpec",
+        for name in ("OrchestratorBackend", "BACKENDS",
+                     "KubernetesBackend",
                      "PlacementAndLoadBalancer", "bootstrap_spill",
                      "BackendComparisonStudy", "backend_digest"):
             assert name in ORCH_DOC, \
                 f"docs/ORCHESTRATORS.md does not mention {name}"
 
     def test_every_registered_backend_documented(self):
-        from repro.fabric.backend import backend_names
-        for name in backend_names():
+        from repro.fabric.cluster import BACKENDS
+        for name in BACKENDS:
             assert f"`{name}`" in ORCH_DOC, \
                 f"docs/ORCHESTRATORS.md does not document backend {name}"
 
@@ -314,9 +313,11 @@ class TestOrchestratorDoc:
 class TestDesignIndex:
     def test_retired_extensions_not_documented(self):
         """Elastic pools, the sqldb multi-ring region, the
-        ``can_fit_service`` probe and the kernel's separate queue and
-        clock (with queue compaction and ``run_to_completion``) are
-        gone."""
+        ``can_fit_service`` probe, the kernel's separate queue and
+        clock (with queue compaction and ``run_to_completion``), the
+        backend registry and its ``ClusterView``/``replica_count_for``
+        seams, the k8s ``ResourceSpec`` and the obs ``TraceSink``/
+        ``profile_top_n`` options are gone."""
         docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
                 *sorted((REPO / "docs").glob("*.md"))]
         for path in docs:
@@ -324,7 +325,10 @@ class TestDesignIndex:
             for name in ("elastic_pool", "ElasticPool", "region_routing",
                          "sqldb/region.py", "can_fit_service",
                          "EventQueue", "SimClock", "run_to_completion",
-                         "COMPACT_MIN"):
+                         "COMPACT_MIN", "ClusterView", "register_backend",
+                         "create_backend", "backend_names",
+                         "replica_count_for", "ResourceSpec", "TraceSink",
+                         "profile_top_n"):
                 assert name not in text, f"{path.name} still mentions {name}"
 
     def test_referenced_modules_exist(self):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import FabricError, UnknownReplicaError
-from repro.fabric.cluster import ServiceFabricCluster
+from repro.fabric.cluster import BACKENDS, ServiceFabricCluster
 from repro.fabric.metrics import CPU_CORES, DISK_GB, NodeCapacities
+from repro.fabric.node import METRIC_COLUMN
 
 
 def make_cluster(node_count=4, cpu=32.0, disk=1000.0, seed=1):
@@ -17,6 +18,17 @@ def make_cluster(node_count=4, cpu=32.0, disk=1000.0, seed=1):
 
 
 class TestLifecycle:
+    def test_unknown_backend_names_the_known_ones(self):
+        with pytest.raises(FabricError) as raised:
+            ServiceFabricCluster(
+                node_count=2, capacities=NodeCapacities(
+                    cpu_cores=8.0, disk_gb=100.0, memory_gb=32.0),
+                plb_rng=np.random.default_rng(1), backend="mesos")
+        message = str(raised.value)
+        assert "'mesos'" in message
+        for name in BACKENDS:
+            assert name in message
+
     def test_create_registers_service(self):
         cluster = make_cluster()
         cluster.create_service("db-1", 1, 2.0, {}, now=0)
@@ -130,8 +142,9 @@ class TestInvariantChecker:
     def test_detects_aggregate_drift(self):
         cluster = make_cluster()
         record = cluster.create_service("a", 1, 2.0, {DISK_GB: 10.0}, now=0)
-        node = cluster.node(record.replicas[0].node_id)
-        node._loads[DISK_GB] += 5.0  # corrupt deliberately
+        node_id = record.replicas[0].node_id
+        # Corrupt the node's cell of the load matrix deliberately.
+        cluster.matrix.loads[node_id, METRIC_COLUMN[DISK_GB]] += 5.0
         with pytest.raises(FabricError):
             cluster.validate_invariants()
 

@@ -1,13 +1,16 @@
 """The cluster load matrix and the vectorized node scans over it.
 
-Every placement filter, target pick and make-room candidate list is one
-vectorized pass over :class:`repro.fabric.node.LoadMatrix`. Those passes
-must make exactly the decisions the per-node Python loops they replaced
-made. The loops are kept here, verbatim in logic, as the oracle: a
-hypothesis property drives a small cluster through random creates,
-drops, load reports, node failures, restores and violation sweeps, and
-after every step checks the mirror (``validate_invariants``) and every
-scan against its scalar reference.
+:class:`repro.fabric.node.LoadMatrix` is the only store of every node's
+loads and availability: each :class:`~repro.fabric.node.Node` reads and
+writes its own row and availability cell, and keeps no copy. Every
+placement filter, target pick and make-room candidate list is one
+vectorized pass over the matrix. Those passes must make exactly the
+decisions the per-node Python loops they replaced made. The loops are
+kept here, verbatim in logic, as the oracle: a hypothesis property
+drives a small cluster through random creates, drops, load reports,
+node failures, restores and violation sweeps, and after every step
+checks ``validate_invariants`` and every scan against its scalar
+reference.
 """
 
 import copy
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FabricError, PlacementError
+from repro.errors import PlacementError
 from repro.fabric.cluster import ServiceFabricCluster
 from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB, NodeCapacities
 from repro.fabric.node import Node, fold_sum
@@ -261,22 +264,14 @@ class TestMirror:
         cluster = self.make_cluster()
         cluster.fail_node(2, now=0)
         assert cluster.matrix.available.tolist() == [True, True, False, True]
+        assert [node.available for node in cluster.nodes] \
+            == [True, True, False, True]
         cluster.restore_node(2)
         assert cluster.matrix.available.all()
-
-    def test_detects_matrix_drift(self):
-        cluster = self.make_cluster()
-        cluster.create_service("a", 1, 2.0, {DISK_GB: 10.0}, now=0)
-        cluster.matrix.loads[0, 1] = np.nextafter(cluster.matrix.loads[0, 1],
-                                                  np.inf)
-        with pytest.raises(FabricError, match="load matrix"):
-            cluster.validate_invariants()
-
-    def test_detects_availability_drift(self):
-        cluster = self.make_cluster()
-        cluster.nodes[3].available = False
-        with pytest.raises(FabricError, match="availability"):
-            cluster.validate_invariants()
+        assert all(node.available for node in cluster.nodes)
+        # The node reads the mask: there is no second copy to update.
+        cluster.matrix.available[1] = False
+        assert not cluster.nodes[1].available
 
     def test_recompute_rewrites_the_row(self):
         cluster = self.make_cluster()
@@ -289,10 +284,17 @@ class TestMirror:
 
     def test_standalone_node_keeps_a_private_row(self):
         node = Node(5, CAPACITIES)
+        other = Node(6, CAPACITIES)
         node.attach(Replica(replica_id=1, service_id="a",
                             role=ReplicaRole.PRIMARY,
                             reported={CPU_CORES: 2.0, DISK_GB: 7.0}))
         assert node._row.tolist() == [2.0, 7.0, 0.0]
+        assert node.load(DISK_GB) == 7.0
+        assert other._row.tolist() == [0.0, 0.0, 0.0]
+        assert node.available and other.available
+        node._available[0] = False
+        assert not node.available
+        assert other.available
 
 
 class TestFoldSum:

@@ -80,8 +80,7 @@ class TestCustomModel:
         cluster.report_load(hot, {MEMORY_GB: 40.0})
         node = cluster.nodes[hot.node_id]
         assert node.violates(MEMORY_GB)
-        records = cluster.plb.fix_violations(now=300, cluster=cluster,
-                                             metric=MEMORY_GB)
+        records = cluster.plb.fix_violations(now=300, metric=MEMORY_GB)
         # The 40 GB pod can't fit anywhere (32 GB nodes), but any
         # co-tenant moves out; either way the machinery ran cleanly.
         assert all(record.metric == MEMORY_GB for record in records)
@@ -97,7 +96,6 @@ class TestCustomModel:
             cluster.nodes[replica_b.node_id].detach(replica_b)
             cluster.nodes[a.replicas[0].node_id].attach(replica_b)
         assert cluster.nodes[a.replicas[0].node_id].violates(MEMORY_GB)
-        records = cluster.plb.fix_violations(now=300, cluster=cluster,
-                                             metric=MEMORY_GB)
+        records = cluster.plb.fix_violations(now=300, metric=MEMORY_GB)
         assert len(records) == 1
         assert not cluster.nodes[a.replicas[0].node_id].violates(MEMORY_GB)
