@@ -198,40 +198,54 @@ class DiskUsageModel(ResourceModel):
         return max(context.database.initial_local_disk_gb(), self.floor_gb)
 
     def next_value(self, context: ModelContext) -> float:
-        """Previous value plus this interval's sampled growth."""
-        if context.previous_value is None:
-            return self.initial_value(context)
-        delta = self._sample_delta(context)
-        value = context.previous_value + delta
-        cap = context.database.slo.max_data_gb
-        return float(min(max(value, self.floor_gb), cap))
+        """Previous value plus this interval's sampled growth.
 
-    # -- growth composition ----------------------------------------------
-
-    def _sample_delta(self, context: ModelContext) -> float:
-        """Growth (GB) over ``context.interval_seconds``."""
+        One frame on the report path: the steady-state draw, then the
+        initial-growth window, then the rapid-growth spike draw, in
+        that order on the node's stream.
+        """
+        previous = context.previous_value
         database = context.database
-        age = context.now - database.created_at
+        if previous is None:
+            return self.initial_value(context)
+        now = context.now
+        interval = context.interval_seconds
+        rng = context.rng
 
-        delta = self._steady_delta(context)
+        # Steady-State Growth (§4.2.2).
+        mu, sigma = self.steady.params_at(now, self.start_weekday)
+        factor = self._rate_factor_cache.get(database.db_id)
+        if factor is None:
+            factor = self.rate_factor(database.db_id)
+        draw = float(rng.normal(mu, sigma)) if sigma > 0 else mu
+        delta = draw * factor * (interval / DELTA_DISK_PERIOD)
 
-        if (database.high_initial_growth and self.initial_growth is not None
-                and age <= self.initial_growth.duration_seconds):
-            duration = self.initial_growth.duration_seconds
+        # Initial Creation Growth (§4.2.3).
+        age = now - database.created_at
+        initial = self.initial_growth
+        if (database.high_initial_growth and initial is not None
+                and age <= initial.duration_seconds):
+            duration = initial.duration_seconds
             rate = database.initial_growth_total_gb / duration
-            window = min(context.interval_seconds, max(duration - (age - context.interval_seconds), 0))
+            window = min(interval, max(duration - (age - interval), 0))
             delta += rate * window
 
-        if database.rapid_growth and self.rapid_growth is not None:
-            delta += self._rapid_delta(context, age)
-        return delta
+        # Predictable Rapid Growth (§4.2.4).
+        rapid = self.rapid_growth
+        if database.rapid_growth and rapid is not None:
+            phase = rapid.phase_at(age)
+            spike = 0.0
+            if phase == "increase":
+                total = rapid.increase_totals.sample(rng)
+                spike = total * interval / rapid.increase_duration
+            elif phase == "decrease":
+                total = rapid.decrease_totals.sample(rng)
+                spike = -total * interval / rapid.decrease_duration
+            delta += spike
 
-    def _steady_delta(self, context: ModelContext) -> float:
-        mu, sigma = self.steady.params_at(context.now, self.start_weekday)
-        factor = self.rate_factor(context.database.db_id)
-        scale = context.interval_seconds / DELTA_DISK_PERIOD
-        draw = float(context.rng.normal(mu, sigma)) if sigma > 0 else mu
-        return draw * factor * scale
+        value = previous + delta
+        return float(min(max(value, self.floor_gb),
+                         database.slo.max_data_gb))
 
     def rate_factor(self, db_id: str) -> float:
         """Per-database growth-rate multiplier (deterministic, mean 1)."""
@@ -249,15 +263,3 @@ class DiskUsageModel(ResourceModel):
             factor = math.exp(sigma * z - 0.5 * sigma * sigma)
             self._rate_factor_cache[db_id] = factor
         return factor
-
-    def _rapid_delta(self, context: ModelContext, age: int) -> float:
-        spec = self.rapid_growth
-        assert spec is not None
-        phase = spec.phase_at(age)
-        if phase == "increase":
-            total = spec.increase_totals.sample(context.rng)
-            return total * context.interval_seconds / spec.increase_duration
-        if phase == "decrease":
-            total = spec.decrease_totals.sample(context.rng)
-            return -total * context.interval_seconds / spec.decrease_duration
-        return 0.0

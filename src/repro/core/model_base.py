@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,17 +92,13 @@ class TotoModelSet:
     selector accepts the database, so more specific models should be
     listed before broad ones in the XML (documented contract).
 
-    Each database's match per metric is bound on first lookup. A
-    selector reads only the database's id and its SLO's fields, so the
-    binding holds while the database keeps the same SLO object; each
-    published model version builds a new set, which starts unbound.
+    The set keeps no per-database state: :meth:`find` scans the list
+    on every call. The report path looks each replica's models up once
+    per binding instead (:class:`repro.sqldb.rgmanager.RgManager`).
     """
 
     def __init__(self, models: Sequence[ResourceModel] = ()) -> None:
         self._models: List[ResourceModel] = list(models)
-        #: metric -> db_id -> (the SLO object matched against, model).
-        self._bound: Dict[str, Dict[str, Tuple[object,
-                                               Optional[ResourceModel]]]] = {}
 
     @property
     def models(self) -> List[ResourceModel]:
@@ -114,22 +110,10 @@ class TotoModelSet:
     def find(self, metric: str,
              database: DatabaseInstance) -> Optional[ResourceModel]:
         """First model governing ``metric`` for ``database``, if any."""
-        bound = self._bound.get(metric)
-        if bound is None:
-            bound = self._bound[metric] = {}
-        # Any object with a ``db_id`` may be looked up (a custom
-        # service's pods have no SLO); those bind against ``None``.
-        slo = getattr(database, "slo", None)
-        entry = bound.get(database.db_id)
-        if entry is not None and entry[0] is slo:
-            return entry[1]
-        match = None
         for model in self._models:
             if model.metric == metric and model.applies_to(database):
-                match = model
-                break
-        bound[database.db_id] = (slo, match)
-        return match
+                return model
+        return None
 
     def metrics_modeled(self) -> List[str]:
         """Distinct metric names any model governs."""

@@ -97,23 +97,20 @@ class OrchestratorBackend:
         cluster: the cluster facade (its nodes, load matrix and
             service placements).
         rng: the backend's decision stream.
-        downtime_rng: the shared ``("failover", "downtime")``
-            substream; defaults to ``rng``.
+        downtime_rng: the cluster's failover-downtime stream, as the
+            cluster resolved it.
     """
-
-    #: The backend's key in :data:`repro.fabric.cluster.BACKENDS`.
-    name: str = ""
 
     stats: "PlbStats"
 
     def __init__(self, cluster: "ServiceFabricCluster",
                  rng: np.random.Generator,
-                 downtime_rng: Optional[np.random.Generator] = None) -> None:
+                 downtime_rng: np.random.Generator) -> None:
         self._cluster = cluster
         self._nodes: List[Node] = cluster.nodes
         self._matrix: LoadMatrix = cluster.matrix
         self._rng = rng
-        self._downtime_rng = downtime_rng if downtime_rng is not None else rng
+        self._downtime_rng = downtime_rng
 
     # ------------------------------------------------------------------
     # Policy surface (implemented by each backend)

@@ -86,7 +86,8 @@ class ServiceFabricCluster:
             Defaults to ``plb_rng`` for backward compatibility; callers
             that care about stream isolation (the tenant ring) pass the
             named ``("failover", "downtime")`` substream so downtime
-            sampling never perturbs placement decisions.
+            sampling never perturbs placement decisions. Resolved here
+            once; the backend is handed the resolved stream.
         backend: an orchestrator-backend name, a key of
             :data:`BACKENDS`. The default
             ``"annealing"`` PLB reproduces the paper's control plane;
@@ -113,13 +114,19 @@ class ServiceFabricCluster:
         self._downtime_rng = downtime_rng if downtime_rng is not None \
             else plb_rng
         self._services: Dict[str, ServiceRecord] = {}
+        #: Bumped wherever a replica is placed, removed or moved, or a
+        #: role changes: ``create_service``, ``drop_service``,
+        #: ``fail_node`` and ``_record_moves`` given records. The
+        #: tenant ring rebuilds its report-sweep plan only when it has
+        #: changed (DESIGN.md §5b).
+        self.epoch = 0
         backend_class = BACKENDS.get(backend)
         if backend_class is None:
             raise FabricError(
                 f"unknown orchestrator backend '{backend}' "
                 f"(known: {', '.join(BACKENDS)})")
-        self.plb = backend_class(self, plb_rng, use_annealing=use_annealing,
-                                 downtime_rng=downtime_rng)
+        self.plb = backend_class(self, plb_rng, self._downtime_rng,
+                                 use_annealing=use_annealing)
         #: Per-metric totals are static after construction (the node
         #: list and every node's capacities never change), but they are
         #: consulted in every telemetry frame and KPI assembly — so
@@ -241,6 +248,7 @@ class ServiceFabricCluster:
             record.replicas.append(replica)
             self._replicas_by_id[replica.replica_id] = replica
         self._services[service_id] = record
+        self.epoch += 1
         # Naming-registration hook: a no-op for the annealing backend
         # (the seed's metastore traffic is pinned byte for byte), an
         # endpoints write for the Kubernetes-style one.
@@ -255,6 +263,7 @@ class ServiceFabricCluster:
                 self.nodes[replica.node_id].detach(replica)
             del self._replicas_by_id[replica.replica_id]
         del self._services[service_id]
+        self.epoch += 1
         self._rebuilding_until.pop(service_id, None)
         self.plb.unregister_service(self.naming, service_id)
         return record
@@ -312,6 +321,8 @@ class ServiceFabricCluster:
         if not node.available:
             raise FabricError(f"node {node_id} is already down")
         self.matrix.available[node_id] = False
+        # Displaced replicas may go pending without a record.
+        self.epoch += 1
         records: List[FailoverRecord] = []
         for replica in list(node.replicas):
             service_id = replica.service_id
@@ -397,6 +408,8 @@ class ServiceFabricCluster:
 
     def _record_moves(self, records: List[FailoverRecord]) -> None:
         """Log replica moves and notify listeners (downtime accounting)."""
+        if records:
+            self.epoch += 1
         self.failovers.extend(records)
         for record in records:
             for listener in self._failover_listeners:

@@ -67,17 +67,15 @@ class KubernetesBackend(OrchestratorBackend):
         rng: the backend's decision stream. Accepted so every backend
             is built the same way, but never drawn from —
             kube-scheduler scoring is deterministic.
-        use_annealing: the annealing PLB's knob; accepted and ignored.
-        downtime_rng: the shared failover-downtime substream, consumed
+        downtime_rng: the cluster's failover-downtime stream, consumed
             by the base class's move mechanics.
+        use_annealing: the annealing PLB's knob; accepted and ignored.
     """
-
-    name = "k8s"
 
     def __init__(self, cluster: "ServiceFabricCluster",
                  rng: np.random.Generator,
-                 use_annealing: bool = True,
-                 downtime_rng: np.random.Generator = None) -> None:
+                 downtime_rng: np.random.Generator,
+                 use_annealing: bool = True) -> None:
         super().__init__(cluster, rng, downtime_rng)
         self.stats = PlbStats()
 

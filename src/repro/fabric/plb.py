@@ -70,24 +70,22 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
         rng: the PLB's private random stream. The paper could not pin
             this seed across repeated runs; experiments model that by
             deriving it per run unless explicitly pinned.
+        downtime_rng: the cluster's failover-downtime stream. A stream
+            apart from ``rng`` keeps the annealing draw sequence — and
+            therefore every placement — unchanged no matter how many
+            downtime samples a run takes.
         use_annealing: when False, placement is purely greedy
             (best-fit); this is the ablation mode.
         anneal_iterations: annealing budget per placement decision.
-        downtime_rng: dedicated stream for failover-downtime draws;
-            defaults to ``rng``. Separating the two keeps the annealing
-            draw sequence — and therefore every placement — unchanged
-            no matter how many downtime samples a run takes.
     """
-
-    name = "annealing"
 
     def __init__(self, cluster: "ServiceFabricCluster",
                  rng: np.random.Generator,
+                 downtime_rng: np.random.Generator,
                  use_annealing: bool = True,
                  anneal_iterations: int = 80,
                  cpu_weight: float = 1.0,
-                 disk_weight: float = 0.05,
-                 downtime_rng: np.random.Generator = None) -> None:
+                 disk_weight: float = 0.05) -> None:
         super().__init__(cluster, rng, downtime_rng)
         self.use_annealing = use_annealing
         self.anneal_iterations = anneal_iterations

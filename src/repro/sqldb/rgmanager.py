@@ -61,9 +61,32 @@ def persisted_load_key(db_id: str, metric: str) -> str:
 #: the same ``(replica_id, metric-key)`` map.
 _MIRROR_PREFIX = "lkg:"
 
+#: One metric of a replica's binding: (metric, its model or ``None``,
+#: the persisted Naming-Service key or ``None``, the memory or mirror
+#: map, the node's stream for the metric).
+_MetricBinding = Tuple[str, Optional[ResourceModel], Optional[str],
+                       Optional[Dict[int, float]],
+                       Optional[np.random.Generator]]
+#: A replica's binding: the model set and database object it was built
+#: for, then one entry per metric in :data:`DYNAMIC_METRICS` order.
+_Binding = Tuple[TotoModelSet, DatabaseInstance, Tuple[_MetricBinding, ...]]
+
 
 class RgManager:
     """One node's resource governor with the Toto interception hook.
+
+    While a model set is installed, each replica that reports from
+    this node is *bound* at its first report: per metric in
+    :data:`DYNAMIC_METRICS`, the first matching model of the set, the
+    memory map (or, for a persisted metric, the ``lkg:`` mirror map
+    and the Naming-Service key) and the node's stream for the metric.
+    The stream is acquired when the binding is built, so a secondary
+    that never draws still acquires it, as every modeled report did
+    before bindings existed. A binding holds while this instance keeps
+    the same model-set object and the replica reports for the same
+    database object; :meth:`forget_replica` drops it. What can change
+    from one report to the next stays per report: the role, the
+    previous value, the draw and the naming read and write.
 
     Args:
         node_id: the node this instance runs on.
@@ -88,9 +111,10 @@ class RgManager:
         #: moves to a different node — the intended reset semantics.
         #: Two-level (rather than tuple-keyed) so dropping a replica
         #: touches a handful of small maps instead of scanning every
-        #: key, and the hot report loop pays one lookup per metric,
-        #: not one tuple allocation per value.
+        #: key, and a binding holds each metric's map directly.
         self._memory: Dict[str, Dict[int, float]] = {}
+        #: Replica id -> its binding (see the class docstring).
+        self._bindings: Dict[int, _Binding] = {}
         #: Version of the model XML this instance last parsed.
         self.model_version = 0
         self.rpcs_served = 0
@@ -106,9 +130,9 @@ class RgManager:
         #: state because the Naming Service stayed unreachable past the
         #: retry budget.
         self.naming_degraded = 0
-        #: Per-metric stream handles. The registry already memoizes by
-        #: spawn key, but deriving that key hashes the name path — too
-        #: hot for a lookup that happens on every metric-report RPC.
+        #: Per-metric stream handles: the node acquires each stream
+        #: from the registry once, however often bindings are rebuilt,
+        #: so a DetSan ledger holds one acquisition per node and metric.
         self._streams: Dict[str, np.random.Generator] = {}
 
     # ------------------------------------------------------------------
@@ -123,6 +147,7 @@ class RgManager:
         """Drop node-local state for a replica that left this node."""
         for per_metric in self._memory.values():
             per_metric.pop(replica_id, None)
+        self._bindings.pop(replica_id, None)
         self._cpu_usage_raw.pop(replica_id, None)
         self.cpu_usage_governed.pop(replica_id, None)
 
@@ -142,6 +167,27 @@ class RgManager:
             self._streams[metric] = stream
         return stream
 
+    def _bind(self, replica_id: int, model_set: TotoModelSet,
+              database: DatabaseInstance) -> "_Binding":
+        """Build and keep a replica's binding (class docstring)."""
+        metrics: List[_MetricBinding] = []
+        for metric in DYNAMIC_METRICS:
+            model = model_set.find(metric, database)
+            if model is None:
+                metrics.append((metric, None, None, None, None))
+            elif model.persisted:
+                metrics.append((
+                    metric, model, persisted_load_key(database.db_id, metric),
+                    self._metric_memory(_MIRROR_PREFIX + metric),
+                    self._stream(metric)))
+            else:
+                metrics.append((metric, model, None,
+                                self._metric_memory(metric),
+                                self._stream(metric)))
+        binding = (model_set, database, tuple(metrics))
+        self._bindings[replica_id] = binding
+        return binding
+
     # ------------------------------------------------------------------
 
     def get_metric_loads(self, replica: Replica, database: DatabaseInstance,
@@ -151,20 +197,74 @@ class RgManager:
         Returns the loads the replica should report to the PLB for
         every dynamic metric: model-driven where a model applies,
         otherwise the replica's actual (last reported) load.
+
+        Persisted metrics follow §3.3.2: only the primary executes the
+        model and writes the new value back to the Naming Service;
+        secondaries report whatever is stored, so a newly promoted
+        primary resumes from the previous primary's load. When the
+        Naming Service stays unreachable past the retry budget (an
+        injected outage), the node reads and writes its last-known-good
+        mirror instead and keeps reporting — losing durability for the
+        window, never the run.
         """
         self.rpcs_served += 1
         loads: Dict[str, float] = {}
-        for metric in DYNAMIC_METRICS:
-            model = (self.model_set.find(metric, database)
-                     if self.model_set is not None else None)
+        model_set = self.model_set
+        if model_set is None:
+            # Toto is not injected: actual loads pass through, and no
+            # replica is bound before a model set arrives.
+            for metric in DYNAMIC_METRICS:
+                loads[metric] = replica.load(metric)
+            return loads
+        replica_id = replica.replica_id
+        binding = self._bindings.get(replica_id)
+        if (binding is None or binding[0] is not model_set
+                or binding[1] is not database):
+            binding = self._bind(replica_id, model_set, database)
+        is_primary = replica.is_primary
+        for metric, model, key, store, rng in binding[2]:
             if model is None:
                 loads[metric] = replica.load(metric)
-            elif model.persisted:
-                loads[metric] = self._persisted_value(
-                    model, replica, database, now, interval_seconds, metric)
+                continue
+            if key is None:
+                # Non-persisted: the previous value lives in node memory.
+                value = model.next_value(ModelContext(
+                    now, interval_seconds, database, is_primary,
+                    store.get(replica_id), rng, self.start_weekday))
+                store[replica_id] = value
+                loads[metric] = value
+                continue
+            try:
+                previous = self.naming.get_or_default(key)
+                durable = True
+            except NamingUnavailableError:
+                self.naming_degraded += 1
+                previous = store.get(replica_id)
+                durable = False
+            if is_primary:
+                value = model.next_value(ModelContext(
+                    now, interval_seconds, database, True, previous, rng,
+                    self.start_weekday))
+                if durable:
+                    try:
+                        self.naming.put(key, value)
+                    except NamingUnavailableError:
+                        # Outage began between the read and the
+                        # write-back; the value still stands, it is
+                        # just not durable yet.
+                        self.naming_degraded += 1
+            elif previous is None:
+                # No primary has reported yet (e.g. secondary reports
+                # first in the very first round): the model's initial
+                # value, not persisted — the primary owns the write.
+                loads[metric] = model.initial_value(ModelContext(
+                    now, interval_seconds, database, False, None, rng,
+                    self.start_weekday))
+                continue
             else:
-                loads[metric] = self._memory_value(
-                    model, replica, database, now, interval_seconds, metric)
+                value = float(previous)
+            store[replica_id] = value
+            loads[metric] = value
         return loads
 
     def observe_cpu_usage_batch(
@@ -210,94 +310,6 @@ class RgManager:
             return
         self.cpu_usage_governed = self.governor.govern(
             self._cpu_usage_raw, interval_seconds)
-
-    # ------------------------------------------------------------------
-
-    def _context(self, replica: Replica, database: DatabaseInstance,
-                 now: int, interval_seconds: int,
-                 previous: Optional[float], metric: str) -> ModelContext:
-        return ModelContext(
-            now=now,
-            interval_seconds=interval_seconds,
-            database=database,
-            is_primary=replica.is_primary,
-            previous_value=previous,
-            rng=self._stream(metric),
-            start_weekday=self.start_weekday,
-        )
-
-    def _memory_value(self, model: ResourceModel, replica: Replica,
-                      database: DatabaseInstance, now: int,
-                      interval_seconds: int, metric: str) -> float:
-        """Non-persisted path: previous value lives in node memory."""
-        memory = self._metric_memory(metric)
-        previous = memory.get(replica.replica_id)
-        context = self._context(replica, database, now, interval_seconds,
-                                previous, metric)
-        value = model.next_value(context)
-        memory[replica.replica_id] = value
-        return value
-
-    def _persisted_value(self, model: ResourceModel, replica: Replica,
-                         database: DatabaseInstance, now: int,
-                         interval_seconds: int, metric: str) -> float:
-        """Persisted path (§3.3.2).
-
-        Only the primary executes the model and writes the new value
-        back to the Naming Service; secondaries report whatever is
-        stored, guaranteeing a newly promoted primary resumes from the
-        previous primary's load.
-
-        Graceful degradation: when the Naming Service stays unreachable
-        past the retry budget (an injected outage), the node falls back
-        to its last-known-good mirror of the persisted value and keeps
-        reporting — losing durability for the window, never the run.
-        """
-        key = persisted_load_key(database.db_id, metric)
-        try:
-            previous = self.naming.get_or_default(key)
-        except NamingUnavailableError:
-            self.naming_degraded += 1
-            return self._degraded_persisted_value(
-                model, replica, database, now, interval_seconds, metric)
-        context = self._context(replica, database, now, interval_seconds,
-                                previous, metric)
-        mirror = self._metric_memory(_MIRROR_PREFIX + metric)
-        if replica.is_primary:
-            value = model.next_value(context)
-            try:
-                self.naming.put(key, value)
-            except NamingUnavailableError:
-                # Outage began between the read and the write-back; the
-                # value still stands, it is just not durable yet.
-                self.naming_degraded += 1
-            mirror[replica.replica_id] = value
-            return value
-        if previous is None:
-            # No primary has reported yet (e.g. secondary reports first
-            # in the very first round): fall back to the model's initial
-            # value without persisting it — the primary owns the write.
-            return model.initial_value(context)
-        mirror[replica.replica_id] = float(previous)
-        return float(previous)
-
-    def _degraded_persisted_value(self, model: ResourceModel,
-                                  replica: Replica,
-                                  database: DatabaseInstance, now: int,
-                                  interval_seconds: int,
-                                  metric: str) -> float:
-        """Persisted path while the metastore is unreachable."""
-        mirror = self._metric_memory(_MIRROR_PREFIX + metric)
-        previous = mirror.get(replica.replica_id)
-        context = self._context(replica, database, now, interval_seconds,
-                                previous, metric)
-        if replica.is_primary:
-            value = model.next_value(context)
-            mirror[replica.replica_id] = value
-            return value
-        if previous is None:
-            return model.initial_value(context)
-        return float(previous)
 
 
 def clear_persisted_loads(naming: NamingService, db_id: str) -> None:

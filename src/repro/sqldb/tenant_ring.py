@@ -17,6 +17,7 @@ from repro.errors import ScenarioError
 from repro.fabric.cluster import ServiceFabricCluster
 from repro.fabric.failover import FailoverRecord
 from repro.fabric.metrics import GEN5_NODE, NodeCapacities
+from repro.fabric.node import Node
 from repro.fabric.replica import Replica
 from repro.rng import RngRegistry
 from repro.simkernel import PeriodicProcess, SimulationKernel
@@ -29,10 +30,15 @@ from repro.units import DEFAULT_REPORT_INTERVAL, HOUR
 def _report_order(replica: Replica) -> Tuple[bool, int]:
     """Report-sweep sort key: primary first, then replica id (§3.3.2).
 
-    Module-level so the per-service sort does not rebuild a closure on
-    every sweep iteration.
+    Read only when the sweep plan is rebuilt
+    (:meth:`TenantRing._sweep_plan`).
     """
     return (not replica.is_primary, replica.replica_id)
+
+
+#: One report of a sweep: the replica, its node, the node's RgManager
+#: and the replica's database.
+PlannedReport = Tuple[Replica, Node, RgManager, DatabaseInstance]
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,10 @@ class TenantRing:
             label="replica-report-sweep")
         self._maintenance: Optional[PeriodicProcess] = None
         self.report_sweeps = 0
+        #: The sweep's reports in order, and the cluster epoch they
+        #: were planned at (-1: never planned).
+        self._plan: List[PlannedReport] = []
+        self._plan_epoch = -1
         #: Optional fault injector (set by its ``install()``); gates the
         #: metric-report RPCs and feeds the telemetry chaos counters.
         self.chaos = None
@@ -145,6 +155,10 @@ class TenantRing:
         or actual) -> report to PLB. After all reports, the PLB fixes
         any disk-capacity violations (failovers).
 
+        The reports follow the sweep plan (:meth:`_sweep_plan`); what
+        can change between two reports stays per report: the
+        maintenance and chaos gates, the RPC and the load write.
+
         Under a CPU governor (``cpu_governance_limit > 0``) the sweep
         also queues each node's reporters in report order, so
         RgManager samples the governor's input with one vectorized draw
@@ -154,27 +168,17 @@ class TenantRing:
         governed = self.config.cpu_governance_limit > 0
         cpu_reporters: Dict[int, List[Tuple[Replica, DatabaseInstance]]] = \
             defaultdict(list)
-        for record in self.cluster.services():
-            database = self.control_plane.database(record.service_id)
-            # Primary reports first so persisted metrics are fresh when
-            # the secondaries read them (§3.3.2).
-            ordered = sorted(record.replicas, key=_report_order)
-            for replica in ordered:
-                node_id = replica.node_id
-                if node_id is None:
-                    continue
-                node = self.cluster.node(node_id)
-                if node.in_maintenance:
-                    continue  # node is restarting; report skipped
-                if self.chaos is not None and \
-                        not self.chaos.rpc_gate(node_id, now):
-                    continue  # metric-report RPC lost to injected fault
-                rgmanager = self.rgmanagers[node_id]
-                loads = rgmanager.get_metric_loads(
-                    replica, database, now, interval)
-                self.cluster.report_load(replica, loads)
-                if governed:
-                    cpu_reporters[node_id].append((replica, database))
+        chaos = self.chaos
+        report_load = self.cluster.report_load
+        for replica, node, rgmanager, database in self._sweep_plan():
+            if node.in_maintenance:
+                continue  # node is restarting; report skipped
+            if chaos is not None and not chaos.rpc_gate(node.node_id, now):
+                continue  # metric-report RPC lost to injected fault
+            report_load(replica, rgmanager.get_metric_loads(
+                replica, database, now, interval))
+            if governed:
+                cpu_reporters[node.node_id].append((replica, database))
         for node_id, reporters in cpu_reporters.items():
             self.rgmanagers[node_id].observe_cpu_usage_batch(reporters, now)
         self.cluster.sweep_violations(now)
@@ -182,6 +186,29 @@ class TenantRing:
             for rgmanager in self.rgmanagers:
                 rgmanager.apply_cpu_governance(interval)
         self.report_sweeps += 1
+
+    def _sweep_plan(self) -> List[PlannedReport]:
+        """The sweep's reports in order, rebuilt when placement changed.
+
+        Services in creation order; within a service the primary first
+        so persisted metrics are fresh when the secondaries read them
+        (§3.3.2), then replica id; unplaced replicas left out. Only a
+        create, drop, move or node failure changes this, and each bumps
+        :attr:`ServiceFabricCluster.epoch`.
+        """
+        cluster = self.cluster
+        if self._plan_epoch != cluster.epoch:
+            plan: List[PlannedReport] = []
+            for record in cluster.services():
+                database = self.control_plane.database(record.service_id)
+                for replica in sorted(record.replicas, key=_report_order):
+                    node_id = replica.node_id
+                    if node_id is not None:
+                        plan.append((replica, cluster.nodes[node_id],
+                                     self.rgmanagers[node_id], database))
+            self._plan = plan
+            self._plan_epoch = cluster.epoch
+        return self._plan
 
     def _maintenance_tick(self, now: int) -> None:
         """Occasionally take one node through a maintenance upgrade."""

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PlacementError
 from repro.fabric.cluster import ServiceFabricCluster
+from repro.fabric.k8s import KubernetesBackend
 from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB, NodeCapacities
 from repro.fabric.node import Node, fold_sum
 from repro.fabric.replica import Replica, ReplicaRole
@@ -151,6 +152,7 @@ def check_scans(cluster, probe_service, probe_loads):
     """Every vectorized scan equals its scalar reference right now."""
     cluster.validate_invariants()
     backend = cluster.plb
+    k8s = isinstance(backend, KubernetesBackend)
     nodes = cluster.nodes
     assert backend._feasible_nodes(probe_service, probe_loads).tolist() \
         == ref_feasible(nodes, probe_service, probe_loads)
@@ -158,12 +160,11 @@ def check_scans(cluster, probe_service, probe_loads):
         == ref_make_room_candidates(nodes, probe_service, probe_loads)
     # With replica_count equal to the feasible count, find_placement
     # returns the whole ordered candidate list and draws nothing.
-    expected = (ref_greedy_seed_order(nodes, probe_service, probe_loads)
-                if backend.name == "annealing"
-                else ref_k8s_order(nodes, probe_service, probe_loads))
+    expected = (ref_k8s_order(nodes, probe_service, probe_loads) if k8s
+                else ref_greedy_seed_order(nodes, probe_service, probe_loads))
     assert backend.find_placement(probe_service, len(expected),
                                   probe_loads) == expected
-    if backend.name == "k8s":
+    if k8s:
         feasible = backend._feasible_nodes(probe_service, probe_loads)
         scores = backend._scores(feasible, probe_loads).tolist()
         reference = [ref_k8s_score(nodes[i], probe_loads)
@@ -173,7 +174,7 @@ def check_scans(cluster, probe_service, probe_loads):
         if replica.node_id is None:
             continue
         source = nodes[replica.node_id]
-        if backend.name == "k8s":
+        if k8s:
             got = backend.choose_target(replica, source)
             want = ref_k8s_target(nodes, replica, source)
         else:
