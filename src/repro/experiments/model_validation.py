@@ -92,15 +92,16 @@ class ModelValidationStudy:
 
     def figure9_validation(self, edition: Edition = Edition.STANDARD_GP,
                            runs: int = 50) -> DiskValidation:
-        traces = [t for t in self.artifacts.disk_traces
-                  if t.edition is edition and t.pattern == "steady"]
-        dataset = self.artifacts.datasets[edition]
-        schedule = self._steady_schedule(edition)
-        days = (len(traces[0].usage_gb) - 1) * 20 * 60 // 86400
+        production = self._steady_usage(edition)
+        days = (production.shape[1] - 1) * 20 * 60 // 86400
         rng = np.random.default_rng(self.validation_seed + 1)
-        return validate_disk_model(schedule,
-                                   [t.usage_gb for t in traces],
-                                   days=days, runs=runs, rng=rng)
+        return validate_disk_model(self._steady_schedule(edition),
+                                   production, days=days, runs=runs, rng=rng)
+
+    def _steady_usage(self, edition: Edition) -> np.ndarray:
+        """The usage of every steady-labeled trace, one row each."""
+        return np.stack([t.usage_gb for t in self.artifacts.disk_traces
+                         if t.edition is edition and t.pattern == "steady"])
 
     def _steady_schedule(self, edition: Edition):
         for model in self.artifacts.document.resource_models:
@@ -115,10 +116,8 @@ class ModelValidationStudy:
 
     def model_selection_ablation(self, edition: Edition = Edition.STANDARD_GP,
                                  runs: int = 30) -> List[ModelComparisonRow]:
-        traces = [t for t in self.artifacts.disk_traces
-                  if t.edition is edition and t.pattern == "steady"]
-        deltas = np.concatenate([t.deltas() for t in traces])
-        production = np.asarray([t.usage_gb for t in traces], dtype=float)
+        production = self._steady_usage(edition)
+        deltas = np.diff(production, axis=1).ravel()
         production_rebased = production - production[:, :1]
         mean_curve = production_rebased.mean(axis=0)
         days = (production.shape[1] - 1) * 20 * 60 // 86400

@@ -28,7 +28,16 @@ from repro.units import DELTA_DISK_PERIOD, HOUR
 
 
 class KdeDeltaModel:
-    """Gaussian KDE over the pooled Delta Disk Usage values."""
+    """Gaussian KDE over the pooled Delta Disk Usage values.
+
+    A draw is scipy's ``gaussian_kde.resample(size=1, seed=rng)`` bit
+    for bit, generator state included: one standard normal scaled by
+    ``multivariate_normal``'s SVD factor of the kernel covariance, then
+    one uniform picking a kernel centre through ``choice``'s CDF of the
+    weights. ``resample`` rebuilds the factor and the CDF on every
+    call, a cumulative sum over every training sample; they are built
+    once here.
+    """
 
     name = "kde"
 
@@ -40,11 +49,19 @@ class KdeDeltaModel:
             raise TrainingError("KDE undefined for zero-variance data")
         from scipy import stats as sps  # lazy: simulation runs skip it
 
-        self._kde = sps.gaussian_kde(data)
+        kde = sps.gaussian_kde(data)
+        self._centres = kde.dataset[0]
+        cdf = kde.weights.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+        u, s, _ = np.linalg.svd(kde.covariance)
+        self._scale = float((u * np.sqrt(s))[0, 0])
 
     def sample_delta(self, rng: np.random.Generator, timestamp: int) -> float:
         """Draw one delta; the timestamp is ignored (no temporal view)."""
-        return float(self._kde.resample(size=1, seed=rng)[0, 0])
+        noise = 0.0 + rng.standard_normal() * self._scale
+        index = self._cdf.searchsorted(rng.random(), side="right")
+        return float(self._centres[index] + noise)
 
 
 class BinnedDeltaModel:

@@ -21,7 +21,7 @@ Labeling rules implemented from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -56,42 +56,47 @@ _CELLS = tuple((daytype, hour)
                for hour in range(24))
 
 
-def robust_sigma(deltas: np.ndarray) -> float:
-    """Noise scale estimate that ignores outliers (1.4826 x MAD)."""
-    if deltas.size == 0:
-        return 0.0
-    mad = float(np.median(np.abs(deltas - np.median(deltas))))
-    return 1.4826 * mad
+def robust_sigma(deltas: np.ndarray) -> Union[float, np.ndarray]:
+    """Noise scale estimate that ignores outliers (1.4826 x MAD).
+
+    Reduces along the last axis: one value for a series, one per row
+    for a matrix of series (bit for bit the per-row medians).
+    """
+    if deltas.shape[-1] == 0:
+        return np.zeros(deltas.shape[:-1])[()]
+    spread = deltas - np.median(deltas, axis=-1, keepdims=True)
+    np.abs(spread, out=spread)
+    return 1.4826 * np.median(spread, axis=-1, overwrite_input=True)
 
 
 def label_initial_growth(trace: DiskUsageTrace) -> bool:
     """Apply the 12 GB-in-5-minutes rule to a trace's first period."""
-    return _is_initial_growth(trace.deltas())
+    return bool(_initial_growth_rows(trace.deltas()[np.newaxis])[0])
 
 
 def label_rapid_growth(trace: DiskUsageTrace) -> bool:
     """Detect the spike-up / spike-down ETL signature (§4.2.4)."""
-    return _is_rapid_growth(trace.deltas())
+    return bool(_rapid_growth_rows(trace.deltas()[np.newaxis])[0])
 
 
-def _is_initial_growth(deltas: np.ndarray) -> bool:
-    if deltas.size == 0:
+def _initial_growth_rows(deltas: np.ndarray) -> np.ndarray:
+    """The initial-growth label of each row of a delta matrix."""
+    if deltas.shape[1] == 0:
         raise TrainingError("trace too short to label")
-    return bool(deltas[0] >= INITIAL_GROWTH_PERIOD_THRESHOLD_GB)
+    return deltas[:, 0] >= INITIAL_GROWTH_PERIOD_THRESHOLD_GB
 
 
-def _is_rapid_growth(deltas: np.ndarray) -> bool:
-    if deltas.size < PERIODS_PER_DAY:
-        return False
+def _rapid_growth_rows(deltas: np.ndarray) -> np.ndarray:
+    """The rapid-growth label of each row of a delta matrix."""
+    if deltas.shape[1] < PERIODS_PER_DAY:
+        return np.zeros(deltas.shape[0], dtype=bool)
     # Exclude the initial-creation window from spike statistics.
-    body = deltas[PERIODS_PER_HOUR:]
+    body = deltas[:, PERIODS_PER_HOUR:]
     sigma = robust_sigma(body)
-    if sigma == 0:
-        return False
-    threshold = RAPID_SPIKE_SIGMA * sigma
-    ups = int(np.sum(body > threshold))
-    downs = int(np.sum(body < -threshold))
-    return min(ups, downs) >= RAPID_MIN_CYCLES
+    threshold = RAPID_SPIKE_SIGMA * sigma[:, np.newaxis]
+    ups = np.count_nonzero(body > threshold, axis=1)
+    downs = np.count_nonzero(body < -threshold, axis=1)
+    return (sigma != 0) & (np.minimum(ups, downs) >= RAPID_MIN_CYCLES)
 
 
 @dataclass
@@ -100,7 +105,8 @@ class DeltaDiskDataset:
 
     Attributes:
         steady_by_cell: steady-state deltas grouped by (day type,
-            hour) — the hourly-normal training sets of §4.2.2.
+            hour), one read-only float64 array per cell — the
+            hourly-normal training sets of §4.2.2.
         initial_totals: per-database 30-minute totals of the
             high-initial-growth subset (§4.2.3).
         initial_probability: fraction of databases labeled high
@@ -114,7 +120,7 @@ class DeltaDiskDataset:
             steady — the paper reports ~99.8%.
     """
 
-    steady_by_cell: Dict[Tuple[DayType, int], List[float]]
+    steady_by_cell: Dict[Tuple[DayType, int], np.ndarray]
     initial_totals: List[float]
     initial_probability: float
     rapid_increase: List[float]
@@ -126,113 +132,106 @@ class DeltaDiskDataset:
 
 def build_delta_disk_dataset(traces: List[DiskUsageTrace],
                              start_weekday: int = 0) -> DeltaDiskDataset:
-    """Partition a disk corpus into the three §4.2 training sets."""
+    """Partition a disk corpus into the three §4.2 training sets.
+
+    The traces must share one length: they are stacked into one delta
+    matrix, labelled row by row in one pass, and their steady samples
+    are grouped by cell in one more.
+    """
     if not traces:
         raise TrainingError("empty disk corpus")
+    if len({trace.usage_gb.size for trace in traces}) != 1:
+        raise TrainingError("disk traces have mixed lengths")
+    deltas = np.diff(np.stack([trace.usage_gb for trace in traces]), axis=1)
+    n_databases, n_periods = deltas.shape
+    is_initial = _initial_growth_rows(deltas)
+    is_rapid = _rapid_growth_rows(deltas)
+    steady = np.ones(deltas.shape, dtype=bool)
 
-    # Steady samples keyed by their index into _CELLS.
-    steady_by_index: Dict[int, List[float]] = {}
-    initial_totals: List[float] = []
+    initial_periods = (30 * MINUTE) // DELTA_DISK_PERIOD + 1
+    initial_rows = np.flatnonzero(is_initial)
+    steady[initial_rows, :initial_periods] = False
+    initial_totals = [float(deltas[row, :initial_periods].sum())
+                      for row in initial_rows.tolist()]
+    special_samples = initial_rows.size * min(initial_periods, n_periods)
+
     rapid_increase: List[float] = []
     rapid_decrease: List[float] = []
-    rapid_dbs = 0
-    initial_dbs = 0
-    special_samples = 0
-    total_samples = 0
     state_period_sums = {"steady": 0.0, "increase": 0.0,
                          "between": 0.0, "decrease": 0.0}
     state_period_counts = {key: 0 for key in state_period_sums}
+    for row in np.flatnonzero(is_rapid).tolist():
+        start = initial_periods if is_initial[row] else 0
+        body = deltas[row, start:]
+        sigma = robust_sigma(body)
+        special_samples += _extract_rapid(
+            body, sigma, rapid_increase, rapid_decrease,
+            state_period_sums, state_period_counts)
+        # Non-spike periods still train the steady model. Negated so a
+        # NaN delta, which compares False, is kept.
+        if sigma > 0:
+            steady[row, start:] &= ~(np.abs(body)
+                                     > RAPID_SPIKE_SIGMA * sigma)
 
-    initial_periods = (30 * MINUTE) // DELTA_DISK_PERIOD + 1
-
-    for trace in traces:
-        deltas = trace.deltas()
-        total_samples += deltas.size
-        is_initial = _is_initial_growth(deltas)
-        is_rapid = _is_rapid_growth(deltas)
-
-        start_index = 0
-        if is_initial:
-            initial_dbs += 1
-            window = deltas[:initial_periods]
-            initial_totals.append(float(window.sum()))
-            special_samples += window.size
-            start_index = initial_periods
-
-        body = deltas[start_index:]
-        if is_rapid:
-            rapid_dbs += 1
-            spikes = _extract_rapid(body, rapid_increase, rapid_decrease,
-                                    state_period_sums, state_period_counts)
-            special_samples += spikes
-            # Non-spike periods still train the steady model.
-            _collect_steady(body, start_index, start_weekday,
-                            steady_by_index, exclude_spikes=True)
-        else:
-            _collect_steady(body, start_index, start_weekday,
-                            steady_by_index, exclude_spikes=False)
-
-    n_databases = len(traces)
     state_periods = {
         key: (state_period_sums[key] / state_period_counts[key]
               if state_period_counts[key] else 0.0)
         for key in state_period_sums
     }
+    total_samples = n_databases * n_periods
     return DeltaDiskDataset(
-        steady_by_cell={_CELLS[index]: samples
-                        for index, samples in steady_by_index.items()},
+        steady_by_cell=_steady_by_cell(deltas, steady, start_weekday),
         initial_totals=initial_totals,
-        initial_probability=initial_dbs / n_databases,
+        initial_probability=initial_rows.size / n_databases,
         rapid_increase=rapid_increase,
         rapid_decrease=rapid_decrease,
-        rapid_probability=rapid_dbs / n_databases,
+        rapid_probability=int(is_rapid.sum()) / n_databases,
         rapid_state_periods=state_periods,
         steady_fraction=1.0 - (special_samples / max(total_samples, 1)),
     )
 
 
-def _collect_steady(deltas: np.ndarray, offset_periods: int,
-                    start_weekday: int,
-                    steady_by_index: Dict[int, List[float]],
-                    exclude_spikes: bool) -> None:
-    """Append steady samples into their (day type, hour) cells.
+def _steady_by_cell(deltas: np.ndarray, steady: np.ndarray,
+                    start_weekday: int
+                    ) -> Dict[Tuple[DayType, int], np.ndarray]:
+    """Group the steady samples into their (day type, hour) cells.
 
-    The stable sort keeps each cell's samples in period order, and new
-    cells are inserted in order of their first sample, as appending
-    sample by sample would: the fitted sums depend on both orders.
+    One stable sort of the periods by cell; each cell then gathers its
+    columns, so its samples run in trace order and, within a trace, in
+    period order. Cells are keyed in order of their first sample in
+    that same order. Appending trace by trace, sample by sample gives
+    both orders, and the fitted sums depend on them.
     """
-    periods = offset_periods + np.arange(deltas.size)
-    if exclude_spikes:
-        sigma = robust_sigma(deltas)
-        if sigma > 0:
-            # Negated so a NaN delta, which compares False, is kept.
-            keep = ~(np.abs(deltas) > RAPID_SPIKE_SIGMA * sigma)
-            deltas, periods = deltas[keep], periods[keep]
+    n_periods = deltas.shape[1]
+    periods = np.arange(n_periods)
     hours = (periods // PERIODS_PER_HOUR) % 24
     weekend = (start_weekday + periods // PERIODS_PER_DAY) % 7 >= 5
-    cells = weekend * 24 + hours
-    order = np.argsort(cells, kind="stable")
-    sorted_cells = cells[order]
-    starts = np.flatnonzero(np.diff(sorted_cells, prepend=-1))
-    ends = np.append(starts[1:], cells.size)
-    values = deltas[order].tolist()
-    groups = list(zip(sorted_cells[starts].tolist(), starts.tolist(),
-                      ends.tolist()))
-    # order[starts] is each cell's first sample, as the sort is stable.
-    for group in np.argsort(order[starts]).tolist():
-        cell, start, end = groups[group]
-        steady_by_index.setdefault(cell, []).extend(values[start:end])
+    period_cells = weekend * 24 + hours
+    by_cell = np.argsort(period_cells, kind="stable")
+    cells, starts = np.unique(period_cells[by_cell], return_index=True)
+    found = []
+    for cell, columns in zip(cells.tolist(), np.split(by_cell, starts[1:])):
+        keep = steady[:, columns]
+        if not keep.any():
+            continue
+        # argmax finds the first kept sample in (trace, period) order.
+        row, column = divmod(int(np.argmax(keep)), columns.size)
+        values = deltas[:, columns][keep]
+        values.flags.writeable = False
+        found.append((row * n_periods + int(columns[column]), cell, values))
+    found.sort(key=lambda entry: entry[0])
+    return {_CELLS[cell]: values for _, cell, values in found}
 
 
-def _extract_rapid(deltas: np.ndarray, increases: List[float],
-                   decreases: List[float],
+def _extract_rapid(deltas: np.ndarray, sigma: float,
+                   increases: List[float], decreases: List[float],
                    state_period_sums: Dict[str, float],
                    state_period_counts: Dict[str, int]) -> int:
     """Extract spike magnitudes and state durations from a rapid trace.
 
-    Returns the number of samples attributed to the special pattern.
+    ``sigma`` is :func:`robust_sigma` of ``deltas``. Returns the number
+    of samples attributed to the special pattern.
     """
-    sigma = robust_sigma(deltas)
     if sigma == 0:
         return 0
     threshold = RAPID_SPIKE_SIGMA * sigma
@@ -259,8 +258,7 @@ def _extract_rapid(deltas: np.ndarray, increases: List[float],
         run_total = 0.0
         run_length = 0
 
-    for delta in deltas:
-        value = float(delta)
+    for value in deltas.tolist():
         if value > threshold:
             if state == "decrease":
                 close_run("decrease")
@@ -296,7 +294,6 @@ def _extract_rapid(deltas: np.ndarray, increases: List[float],
     if state in ("increase", "decrease"):
         close_run(state)
     elif gap_length:
-        kind = "steady" if not seen_increase else "steady"
-        state_period_sums[kind] += gap_length
-        state_period_counts[kind] += 1
+        state_period_sums["steady"] += gap_length
+        state_period_counts["steady"] += 1
     return spike_samples

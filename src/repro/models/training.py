@@ -136,12 +136,12 @@ def train_disk_usage_model(dataset: DeltaDiskDataset,
 def train_initial_data_spec(traces: List[DiskUsageTrace],
                             edition: Edition) -> InitialDataSpec:
     """Fit the lognormal initial-size distribution from trace starts."""
-    starts = [trace.usage_gb[0] for trace in traces
-              if trace.edition is edition and trace.usage_gb[0] > 0]
-    if len(starts) < 3:
+    starts = np.array([trace.usage_gb[0] for trace in traces
+                       if trace.edition is edition and trace.usage_gb[0] > 0])
+    if starts.size < 3:
         raise TrainingError(
-            f"too few {edition.value} traces ({len(starts)}) to fit sizes")
-    logs = np.log(np.asarray(starts, dtype=float))
+            f"too few {edition.value} traces ({starts.size}) to fit sizes")
+    logs = np.log(starts)
     # Size correlates with the purchased SLO: customers with large
     # databases buy large compute. The synthetic traces carry no SLO
     # dimension, so the exponent is a modeling constant — stronger for

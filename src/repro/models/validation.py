@@ -13,7 +13,6 @@ scores the paper used for model selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
@@ -182,23 +181,20 @@ class DiskValidation:
 
 
 def validate_disk_model(schedule: HourlyNormalSchedule,
-                        steady_traces: List[Tuple[float, ...]],
+                        steady_usage: np.ndarray,
                         days: int, runs: int = 50,
                         rng: np.random.Generator = None,
                         start_weekday: int = 0) -> DiskValidation:
     """Compare the steady model against production steady traces.
 
-    ``steady_traces`` are absolute-usage tuples (from
-    :class:`DiskUsageTrace.usage_gb`) of steady-labeled databases.
+    ``steady_usage`` holds one row of absolute usage per steady-labeled
+    database (:attr:`DiskUsageTrace.usage_gb`), all of one length.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if not steady_traces:
+    production = np.asarray(steady_usage, dtype=float)
+    if production.ndim != 2 or production.shape[0] == 0:
         raise TrainingError("no steady traces to validate against")
-    lengths = {len(t) for t in steady_traces}
-    if len(lengths) != 1:
-        raise TrainingError("steady traces have mixed lengths")
-    production = np.asarray(steady_traces, dtype=float)
     # Compare growth shapes: re-base every curve at its own start.
     production_rebased = production - production[:, :1]
     mean_curve = production_rebased.mean(axis=0)

@@ -79,19 +79,30 @@ class HourlyEventTrace:
                 for d in range(self.n_days)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskUsageTrace:
-    """One database's disk usage at 20-minute granularity."""
+    """One database's disk usage at 20-minute granularity.
+
+    ``usage_gb`` accepts any float sequence and is held as a read-only
+    float64 copy: a training corpus is 1,200 of these, and Python
+    floats would box each of its ~1.2M samples.
+    """
 
     db_index: int
     edition: Edition
-    usage_gb: Tuple[float, ...]     # absolute usage per period
+    usage_gb: np.ndarray            # absolute usage per period
     pattern: str                    # "steady" | "initial" | "rapid"
+
+    def __post_init__(self) -> None:
+        usage = np.array(self.usage_gb, dtype=float)
+        if usage.ndim != 1:
+            raise TrainingError("disk usage must be one series")
+        usage.flags.writeable = False
+        object.__setattr__(self, "usage_gb", usage)
 
     def deltas(self) -> np.ndarray:
         """Delta Disk Usage between adjacent periods (§4.2.1)."""
-        usage = np.asarray(self.usage_gb, dtype=float)
-        return np.diff(usage)
+        return np.diff(self.usage_gb)
 
 
 @dataclass(frozen=True)
@@ -233,8 +244,7 @@ class ProductionTraceGenerator:
                        for period in range(n_periods)]
         usage = _floored_cumsum(start_gb, deltas, floor=0.1)
         return DiskUsageTrace(db_index=db_index, edition=edition,
-                              usage_gb=tuple(usage.tolist()),
-                              pattern=pattern)
+                              usage_gb=usage, pattern=pattern)
 
     def _delta_mu_table(self, delta_scale: float) -> np.ndarray:
         """``disk_delta_mu(weekend, hour) * delta_scale`` as a 2x24 table.

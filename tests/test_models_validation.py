@@ -104,8 +104,8 @@ class TestDiskValidation:
         model = train_disk_usage_model(dataset, ALL_STANDARD_GP,
                                        persisted=False)
         validation = validate_disk_model(
-            model.steady, [t.usage_gb for t in traces], days=7, runs=20,
-            rng=np.random.default_rng(2))
+            model.steady, np.stack([t.usage_gb for t in traces]), days=7,
+            runs=20, rng=np.random.default_rng(2))
         assert validation.cumulative_growth_error() < 0.25
         assert validation.rmse() < 1.0
 
@@ -128,6 +128,19 @@ class TestBaselines:
         rng = np.random.default_rng(0)
         draws = [model.sample_delta(rng, 0) for _ in range(300)]
         assert np.mean(draws) == pytest.approx(np.mean(deltas), abs=0.02)
+
+    def test_kde_draws_match_scipy_resample(self, deltas):
+        """Each draw, and the generator state after them, is what
+        ``gaussian_kde.resample(size=1, seed=rng)`` gives."""
+        from scipy import stats as sps
+        model = KdeDeltaModel(deltas)
+        reference = sps.gaussian_kde(deltas)
+        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        draws = [model.sample_delta(ours, 0) for _ in range(300)]
+        expected = [float(reference.resample(size=1, seed=theirs)[0, 0])
+                    for _ in range(300)]
+        assert draws == expected
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_kde_needs_variance(self):
         with pytest.raises(TrainingError):
